@@ -1,0 +1,100 @@
+"""Brute-force torsion and centre checks for K(p^n, p^m), kept as oracles.
+
+These are the residue loops that ``MetabGroup`` once ran: one stacked
+d x 5d Smith solve per nonzero exponent residue for torsion, and one
+solve per translation residue for the centre.  They need no theory beyond
+"g has finite order iff its power landing in M vanishes there" and
+"z is central iff it commutes with x and y", so the tests compare the
+library's p + 1 line argument and fixed-sublattice rank test against them.
+Cost grows like N^2 Smith forms; keep them to N <= 16.
+"""
+
+from math import gcd, lcm
+
+from gentorsion.intlin import IntMatrix, smith_normal_form, solve_integer_linear
+
+
+def relation_columns(G) -> IntMatrix:
+    """S^T: the generators of the relation submodule S as columns."""
+    return G._consistency_rows().transpose()
+
+
+def stacked_solve(G, m, rhs, srows):
+    """A v with m v - rhs in S, by one solve of [mult(m) | S^T] (v, s) = rhs.
+
+    ``srows`` is ``relation_columns(G)``.  Returns the v part of the
+    solution, or None.
+    """
+    system = G._mult_matrix(m)
+    stacked = IntMatrix(
+        [list(system.row(i)) + list(srows.row(i)) for i in range(G.d)],
+        cols=G.d + srows.cols,
+    )
+    sol = solve_integer_linear(stacked, rhs)
+    return None if sol is None else tuple(sol[: G.d])
+
+
+def find_torsion(G):
+    """An element of finite order, or "free", trying every nonzero residue."""
+    unit = G.monomial(0, 0)
+    srows = relation_columns(G)
+    for a in range(G.N):
+        for b in range(G.N):
+            if (a, b) == (0, 0):
+                continue
+            o = lcm(G.N // gcd(G.N, a), G.N // gcd(G.N, b))
+            g = (a, b, unit, G._zero)
+            acc = (0, 0, G._zero, G._zero)
+            for _ in range(o):
+                acc = G._affine_mul(acc, g)
+            ra, rb, m, c = acc
+            assert (ra, rb) == (0, 0)
+            sol = stacked_solve(G, m, G._neg(c), srows)
+            if sol is not None:
+                return G._make(a, b, sol)
+    return "free"
+
+
+def _affine_concrete(G, g):
+    return (g.alpha, g.beta, G._zero, g.raw)
+
+
+def check_center(G) -> bool:
+    """True iff the centre is trivial: rank test, then every translation residue."""
+    unit = G.monomial(0, 0)
+    ident = IntMatrix.identity(G.d)
+    x = G.generators[0][1]
+    y = G.generators[1][1]
+    srows = relation_columns(G)
+    s_rank = G.d - G.module.free_rank
+
+    # fixed sublattice of M under both shifts (the (0,0) residue)
+    proj = G.module.to_canonical
+    bx = proj @ (G._mult_matrix(G.monomial(1, 0)) - ident)
+    by = proj @ (G._mult_matrix(G.monomial(0, 1)) - ident)
+    diag = smith_normal_form(bx.vstack(by)).diagonal()
+    kernel_rank = G.d - sum(1 for dd in diag if dd != 0)
+    if kernel_rank != s_rank:
+        return False
+
+    for a in range(0, G.N, G.qn):
+        for b in range(0, G.N, G.qm):
+            if (a, b) == (0, 0):
+                continue
+            g = (a, b, unit, G._zero)
+            rows = []
+            rhs = []
+            for w in (x, y):
+                f = G._affine_mul(G._affine_mul(_affine_concrete(G, G.inv(w)), g), _affine_concrete(G, w))
+                fa, fb, m, c = f
+                assert (fa, fb) == (a, b)
+                block = G._mult_matrix(m) - ident
+                for i in range(G.d):
+                    pad_left = list(srows.row(i)) if w is x else [0] * srows.cols
+                    pad_right = list(srows.row(i)) if w is y else [0] * srows.cols
+                    rows.append(list(block.row(i)) + pad_left + pad_right)
+                rhs.extend(-t for t in c)
+            system = IntMatrix(rows, cols=G.d + 2 * srows.cols)
+            if solve_integer_linear(system, rhs) is not None:
+                return False
+    return True
