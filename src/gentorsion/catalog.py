@@ -22,6 +22,7 @@ from .extgroup import (
     spec_from_dict,
     validate_extension,
 )
+from .gentor import conjugate, is_generalized_torsion, power
 from .intlin import IntMatrix
 from .metab import MetabGroup, build_K
 
@@ -312,16 +313,8 @@ class CasoloGroup:
         ring = self._translate(gi, a.ring).scaled(-self.sign(hi))
         return GammaElement(ring, gi, hi)
 
-    def conj(self, a: GammaElement, x: GammaElement) -> GammaElement:
-        return self.mul(self.mul(self.inv(x), a), x)
-
-    def pow(self, a: GammaElement, k: int) -> GammaElement:
-        if k < 0:
-            return self.inv(self.pow(a, -k))
-        out = self.identity()
-        for _ in range(k):
-            out = self.mul(out, a)
-        return out
+    conj = conjugate
+    pow = power
 
     def sigma_candidates(self):
         """Pair-part elements (1, h) with sign(h) = -1, three choices."""
@@ -371,7 +364,5 @@ def central_nontorsion_check(G) -> bool:
     factor; a central element can only be generalized torsion if it is
     torsion, so the correct report is always "not generalized torsion".
     """
-    from .gentor import is_generalized_torsion
-
     z = G.generators[-1][1]
     return not is_generalized_torsion(G, z)

@@ -24,6 +24,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .errors import GroupInputError
+from .gentor import conjugate, power
 from .intlin import IntMatrix, cokernel_structure, smith_normal_form, solve_integer_linear
 from .words import run_word
 
@@ -214,20 +215,8 @@ class ExtensionGroup:
         qi = self.q_inverse(g.q)
         return ExtElement(qi, _vneg(_vadd(s.coc[g.q][qi], s.phi[qi].mat_vec(g.a))))
 
-    def conj(self, g: ExtElement, x: ExtElement) -> ExtElement:
-        return self.mul(self.mul(self.inv(x), g), x)
-
-    def pow(self, g: ExtElement, k: int) -> ExtElement:
-        if k < 0:
-            return self.inv(self.pow(g, -k))
-        out = self.identity()
-        base = g
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
+    conj = conjugate
+    pow = power
 
     def q_inverse(self, q: int) -> int:
         return self.spec.q_table[q].index(0)
@@ -241,8 +230,8 @@ class ExtensionGroup:
 
     # -- capability contract used by the torsion engine ---------------------
 
-    def in_translation(self, g: ExtElement) -> bool:
-        return g.q == 0
+    def coset(self, g: ExtElement) -> int:
+        return g.q
 
     def translation_index(self) -> int:
         return self.spec.q_size
@@ -278,22 +267,6 @@ class ExtensionGroup:
             raise GroupInputError("generators do not reach every coset of the lattice")
         # dict insertion order is the BFS discovery order
         return [(_format_run(word), elem) for word, elem in reps.values()]
-
-    def labeled_transversal_mod(self, g: ExtElement):
-        """Representatives of the cosets of A<g>, as (word, element) pairs."""
-        cyc = [0]
-        cur = g.q
-        while cur != 0:
-            cyc.append(cur)
-            cur = self.spec.q_table[cur][g.q]
-        covered = set()
-        out = []
-        for word, elem in self.labeled_transversal():
-            if elem.q in covered:
-                continue
-            out.append((word, elem))
-            covered.update(self.spec.q_table[c][elem.q] for c in cyc)
-        return out
 
     def abelianization(self):
         if self._ab is None:

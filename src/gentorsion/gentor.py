@@ -8,11 +8,24 @@ translation subgroup A, membership is decided through the abelianization
 certificates of length exactly [G:A] are constructed from transversals,
 and the generalized exponent is bracketed between exp(G^ab) and [G:A].
 
-Backends are duck-typed.  Any object providing identity/mul/inv/conj/pow,
-a ``generators`` list of (name, element) pairs, and the lattice capability
-methods (abelianization, ab_vector, in_translation, translation_index,
-order_mod_translation, holonomy_exponent, labeled transversals) works;
-operations that need a capability the backend lacks raise
+Backends are duck-typed; this is their whole contract.
+
+* Required: ``identity()``, ``mul(g, h)``, ``inv(g)`` on hashable
+  elements that compare equal exactly when they are equal in G; a
+  ``generators`` sequence of (name, element) pairs; and ``conj``/``pow``,
+  bound as ``conj = conjugate`` and ``pow = power`` (shared bodies below).
+* Lattice capabilities, for G abelian-by-finite with translation
+  subgroup A: ``abelianization()`` (an ``AbelianStructure`` of G^ab) and
+  ``ab_vector(g)``; ``coset(g)``, a hashable label of gA; the integers
+  ``translation_index()`` = [G:A], ``order_mod_translation(g)`` = order
+  of gA and ``holonomy_exponent()`` = exp(G/A); ``labeled_transversal()``,
+  (word, element) pairs, one per coset of A, starting with the identity
+  "1", and ``transversal()``, one element per coset.
+* Optional: ``verify_positive_identity_all(k, conjugators)`` (symbolic
+  check over all of G), ``is_torsion_free()``/``torsion_witness()``,
+  ``center_rank()`` or ``has_trivial_center()``.
+
+Operations that need a capability the backend lacks raise
 BackendCapabilityError.
 """
 
@@ -36,6 +49,28 @@ def _require(G, *attrs):
             raise BackendCapabilityError(
                 f"backend {_backend_name(G)!r} does not provide {attr!r}"
             )
+
+
+# -- generic element operations ------------------------------------------
+
+
+def conjugate(G, g, x):
+    """g^x = x^-1 g x."""
+    return G.mul(G.mul(G.inv(x), g), x)
+
+
+def power(G, g, k: int):
+    """g^k by square-and-multiply: bit_length(k) - 1 + popcount(k) muls."""
+    if k < 0:
+        return G.inv(power(G, g, -k))
+    out = G.identity()
+    while k:
+        if k & 1:
+            out = G.mul(out, g)
+        k >>= 1
+        if k:
+            g = G.mul(g, g)
+    return out
 
 
 # -- seeded randomness ----------------------------------------------------
@@ -161,48 +196,50 @@ def _power_word(base_word: str, i: int) -> str:
 def witness_construct(G, g, base_word: str = "g") -> WitnessCertificate:
     """Certificate with conjugator list of length [G:A] (or k*[G:A]).
 
-    Three constructions, all reduced to the fact that the product over a
+    Two constructions, both reduced to the fact that the product over a
     transversal of a translation is a central translation of finite order,
     hence trivial in a torsion-free lattice part:
 
-    * g in A: conjugate by a full labeled transversal.
-    * g outside A, G^ab finite: with n the order of gA, conjugate by
-      g^i * s for s in a transversal of <gA> cosets and 0 <= i < n.
+    * G^ab finite: with n the order of gA, conjugate by g^i * s for s in
+      a transversal of the cosets of A<g> and 0 <= i < n; these run once
+      over the cosets of A.  g in A is the case n = 1, a full labeled
+      transversal.
     * G^ab infinite: with k the order of gA, take the certificate of
       g^k in A and expand each conjugate (g^k)^s into k copies of g^s.
 
     The product is re-multiplied before returning; a nontrivial result
     raises TheoremViolationError since it contradicts the construction.
     """
-    _require(G, "in_translation", "labeled_transversal", "labeled_transversal_mod")
+    _require(G, "coset", "labeled_transversal")
     gen_order_lower_bound(G, g)  # raises when g is not generalized torsion
-    ab_finite = G.abelianization().is_finite
+    n = G.order_mod_translation(g)
+    pairs = G.labeled_transversal()
 
-    if G.in_translation(g):
-        pairs = G.labeled_transversal()
-        words = tuple(w for w, _ in pairs)
-        conjugators = tuple(s for _, s in pairs)
-    elif ab_finite:
-        n = G.order_mod_translation(g)
-        pairs = G.labeled_transversal_mod(g)
+    if G.abelianization().is_finite:
+        powers = [G.identity()]
+        for _ in range(1, n):
+            powers.append(G.mul(powers[-1], g))
+        covered = set()
         words = []
         conjugators = []
         for w, s in pairs:
+            if G.coset(s) in covered:
+                continue
             for i in range(n):
                 if i == 0:
                     words.append(w)
-                    conjugators.append(s)
+                    x = s
                 else:
                     pw = _power_word(base_word, i)
                     words.append(pw if w == "1" else f"{pw}*{w}")
-                    conjugators.append(G.mul(G.pow(g, i), s))
+                    x = G.mul(powers[i], s)
+                conjugators.append(x)
+                covered.add(G.coset(x))
         words = tuple(words)
         conjugators = tuple(conjugators)
     else:
-        k = G.order_mod_translation(g)
-        pairs = G.labeled_transversal()
-        words = tuple(w for w, _ in pairs for _ in range(k))
-        conjugators = tuple(s for _, s in pairs for _ in range(k))
+        words = tuple(w for w, _ in pairs for _ in range(n))
+        conjugators = tuple(s for _, s in pairs for _ in range(n))
 
     if not _verify_product(G, g, conjugators):
         raise TheoremViolationError(
@@ -378,11 +415,8 @@ class DirectProductGroup:
     def inv(self, g):
         return (self.left.inv(g[0]), self.right.inv(g[1]))
 
-    def conj(self, g, x):
-        return (self.left.conj(g[0], x[0]), self.right.conj(g[1], x[1]))
-
-    def pow(self, g, k):
-        return (self.left.pow(g[0], k), self.right.pow(g[1], k))
+    conj = conjugate
+    pow = power
 
     def abelianization(self):
         if self._ab is None:
@@ -399,8 +433,8 @@ class DirectProductGroup:
             ra.canonical(self.right.ab_vector(g[1]))
         )
 
-    def in_translation(self, g) -> bool:
-        return self.left.in_translation(g[0]) and self.right.in_translation(g[1])
+    def coset(self, g):
+        return (self.left.coset(g[0]), self.right.coset(g[1]))
 
     def translation_index(self) -> int:
         return self.left.translation_index() * self.right.translation_index()
@@ -438,28 +472,6 @@ class DirectProductGroup:
 
     def transversal(self):
         return [s for _, s in self.labeled_transversal()]
-
-    def _coset_index(self, e, pairs):
-        for i, (_, t) in enumerate(pairs):
-            if self.in_translation(self.mul(self.inv(t), e)):
-                return i
-        raise GroupInputError("element lies in no transversal coset")
-
-    def labeled_transversal_mod(self, g):
-        pairs = self.labeled_transversal()
-        n = self.order_mod_translation(g)
-        covered = set()
-        out = []
-        for w, s in pairs:
-            idx = self._coset_index(s, pairs)
-            if idx in covered:
-                continue
-            out.append((w, s))
-            acc = s
-            for _ in range(n):
-                covered.add(self._coset_index(acc, pairs))
-                acc = self.mul(g, acc)
-        return out
 
 
 def _rename(node, mapping):

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from math import gcd, lcm
 
 from .errors import GroupInputError, TheoremViolationError
+from .gentor import conjugate, power
 from .intlin import IntMatrix, cokernel_structure, smith_normal_form, solve_integer_linear
 
 
@@ -121,26 +122,18 @@ class MetabGroup:
     def _scale(v, k: int):
         return tuple(k * x for x in v)
 
-    def _psi_x(self, a: int):
-        """Psi_a(X) as a one-variable coefficient list of length qn."""
-        if a >= 0:
-            base, extra = divmod(a, self.qn)
-            return [base + 1 if i < extra else base for i in range(self.qn)]
-        pos = self._psi_x(-a)
-        shifted = [pos[(i - a) % self.qn] for i in range(self.qn)]
-        return [-x for x in shifted]
-
-    def _psi_y(self, b: int):
-        if b >= 0:
-            base, extra = divmod(b, self.qm)
-            return [base + 1 if j < extra else base for j in range(self.qm)]
-        pos = self._psi_y(-b)
-        shifted = [pos[(j - b) % self.qm] for j in range(self.qm)]
-        return [-x for x in shifted]
+    @staticmethod
+    def _psi(k: int, modulus: int):
+        """Psi_k(T) modulo T^modulus - 1, as a coefficient list."""
+        if k >= 0:
+            base, extra = divmod(k, modulus)
+            return [base + 1 if i < extra else base for i in range(modulus)]
+        pos = MetabGroup._psi(-k, modulus)
+        return [-pos[(i - k) % modulus] for i in range(modulus)]
 
     def _psi_product(self, a: int, b: int):
         """Psi_a(X) * Psi_b(Y) as a ring vector."""
-        px, py = self._psi_x(a), self._psi_y(b)
+        px, py = self._psi(a, self.qn), self._psi(b, self.qm)
         out = [0] * self.d
         for i in range(self.qn):
             if px[i]:
@@ -162,28 +155,21 @@ class MetabGroup:
                 cols.append(self._shift(r, i, j))
         return IntMatrix([[cols[c][row] for c in range(self.d)] for row in range(self.d)], cols=self.d)
 
-    # -- unreduced collection (no power folding; used to derive g3, g4, S) --
+    # -- collection in the cover (no power folding; _make folds) ----------
 
     def _raw_mul(self, g1, g2):
         a1, b1, v1 = g1
         a2, b2, v2 = g2
         v = self._add(self._shift(v1, a2, b2), v2)
-        psi = self._psi_product2(a2, b1)
-        if psi is not None:
-            v = self._add(v, self._neg(self._shift(psi, 0, b2)))
+        if a2 and b1:
+            v = self._add(v, self._neg(self._shift(self._psi_product(a2, b1), 0, b2)))
         return (a1 + a2, b1 + b2, v)
-
-    def _psi_product2(self, a: int, b: int):
-        if a == 0 or b == 0:
-            return None
-        return self._psi_product(a, b)
 
     def _raw_inv(self, g):
         a, b, v = g
         out = self._neg(self._shift(v, -a, -b))
-        psi = self._psi_product2(-a, b)
-        if psi is not None:
-            out = self._add(out, self._shift(psi, 0, -b))
+        if a and b:
+            out = self._add(out, self._shift(self._psi_product(-a, b), 0, -b))
         return (-a, -b, out)
 
     def _raw_conj(self, g, x):
@@ -200,7 +186,7 @@ class MetabGroup:
 
         This is arithmetic in the cover where only the ring relations hold,
         so x- and y-exponents stay plain integers.  Used by the build steps
-        and as an independent cross-check target in tests.
+        and ``collect``, and as a cross-check target in tests.
         """
         out = (0, 0, self._zero)
         for name, exp in word:
@@ -221,19 +207,14 @@ class MetabGroup:
         forces to be trivial; the result is (N, 0, w), so x^N = c^{-w}.
         """
         if letter == "x":
-            base = (self.qn, 0, self._zero)
-            out = (0, 0, self._zero)
-            for j in range(self.qm):
-                out = self._raw_mul(out, self._raw_conj(base, (0, j, self._zero)))
-            a, b, w = out
-            assert (a, b) == (self.N, 0)
+            base, steps, unit = (self.qn, 0, self._zero), self.qm, (0, 1)
         else:
-            base = (0, self.qm, self._zero)
-            out = (0, 0, self._zero)
-            for i in range(self.qn):
-                out = self._raw_mul(out, self._raw_conj(base, (i, 0, self._zero)))
-            a, b, w = out
-            assert (a, b) == (0, self.N)
+            base, steps, unit = (0, self.qm, self._zero), self.qn, (1, 0)
+        out = (0, 0, self._zero)
+        for j in range(steps):
+            out = self._raw_mul(out, self._raw_conj(base, (unit[0] * j, unit[1] * j, self._zero)))
+        a, b, w = out
+        assert (a, b) == (base[0] * steps, base[1] * steps)
         return w
 
     def _consistency_rows(self) -> IntMatrix:
@@ -290,49 +271,22 @@ class MetabGroup:
     def mul(self, g: MetabElement, h: MetabElement) -> MetabElement:
         self._check(g)
         self._check(h)
-        v = self._add(self._shift(g.raw, h.alpha, h.beta), h.raw)
-        psi = self._psi_product2(h.alpha, g.beta)
-        if psi is not None:
-            v = self._add(v, self._neg(self._shift(psi, 0, h.beta)))
-        return self._make(g.alpha + h.alpha, g.beta + h.beta, v)
+        return self._make(*self._raw_mul((g.alpha, g.beta, g.raw), (h.alpha, h.beta, h.raw)))
 
     def inv(self, g: MetabElement) -> MetabElement:
         self._check(g)
-        a, b, v = self._raw_inv((g.alpha, g.beta, g.raw))
-        return self._make(a, b, v)
+        return self._make(*self._raw_inv((g.alpha, g.beta, g.raw)))
 
-    def conj(self, g: MetabElement, x: MetabElement) -> MetabElement:
-        return self.mul(self.mul(self.inv(x), g), x)
-
-    def pow(self, g: MetabElement, k: int) -> MetabElement:
-        if k < 0:
-            return self.inv(self.pow(g, -k))
-        out = self.identity()
-        base = g
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
+    conj = conjugate
+    pow = power
 
     def collect(self, word) -> MetabElement:
         """Normal form of a word given as (generator, exponent) pairs.
 
         Generators are "x", "y", and "c"; exponents are arbitrary integers.
+        The word is collected in the cover and folded once.
         """
-        out = self.identity()
-        for name, exp in word:
-            if name == "x":
-                step = self._make(exp, 0, self._zero)
-            elif name == "y":
-                step = self._make(0, exp, self._zero)
-            elif name == "c":
-                step = self._make(0, 0, self._scale(self.monomial(0, 0), exp))
-            else:
-                raise GroupInputError(f"unknown generator {name!r}")
-            out = self.mul(out, step)
-        return out
+        return self._make(*self.collect_unreduced(word))
 
     def commutator_element(self, v) -> MetabElement:
         """The element c^v for a ring vector v."""
@@ -340,9 +294,9 @@ class MetabGroup:
 
     # -- capability contract ------------------------------------------------
 
-    def in_translation(self, g: MetabElement) -> bool:
+    def coset(self, g: MetabElement) -> tuple:
         self._check(g)
-        return g.alpha % self.qn == 0 and g.beta % self.qm == 0
+        return (g.alpha % self.qn, g.beta % self.qm)
 
     def translation_index(self) -> int:
         return self.N
@@ -366,23 +320,6 @@ class MetabGroup:
                 out.append((word, self._make(i, j, self._zero)))
         return out
 
-    def labeled_transversal_mod(self, g: MetabElement):
-        step = (g.alpha % self.qn, g.beta % self.qm)
-        cyc = [(0, 0)]
-        cur = step
-        while cur != (0, 0):
-            cyc.append(cur)
-            cur = ((cur[0] + step[0]) % self.qn, (cur[1] + step[1]) % self.qm)
-        covered = set()
-        out = []
-        for word, elem in self.labeled_transversal():
-            pt = (elem.alpha, elem.beta)
-            if pt in covered:
-                continue
-            out.append((word, elem))
-            covered.update(((c[0] + pt[0]) % self.qn, (c[1] + pt[1]) % self.qm) for c in cyc)
-        return out
-
     def abelianization(self):
         if self._ab is None:
             self._ab = cokernel_structure(IntMatrix.diagonal([self.N, self.N]))
@@ -396,41 +333,20 @@ class MetabGroup:
 
     # -- torsion and center -------------------------------------------------
 
-    def _affine_mul(self, f1, f2):
-        """Product of x^a y^b c^{m v + c} forms sharing one formal slot v.
-
-        m is a ring element acting by multiplication; folding contributes
-        only to the constant part.
-        """
-        a1, b1, m1, c1 = f1
-        a2, b2, m2, c2 = f2
-        m = self._add(self._shift(m1, a2, b2), m2)
-        c = self._add(self._shift(c1, a2, b2), c2)
-        psi = self._psi_product2(a2, b1)
-        if psi is not None:
-            c = self._add(c, self._neg(self._shift(psi, 0, b2)))
-        a, b = a1 + a2, b1 + b2
-        k, a = divmod(a, self.N)
-        if k:
-            c = self._add(c, self._scale(self._shift(self.g3, 0, b), k))
-        l, b = divmod(b, self.N)
-        if l:
-            c = self._add(c, self._scale(self.g4, l))
-        return (a, b, m, c)
-
     def _residue_power(self, a: int, b: int):
         """(m, c) with (x^a y^b c^v)^o = c^{m v + c} for every v.
 
         o is the order of (a, b) in C_N x C_N; m and c are ring vectors.
+        Conjugation by x^a y^b multiplies v by X^a Y^b, so m is the sum of
+        X^{ia} Y^{ib} over i < o, and c is the commutator part of
+        (x^a y^b)^o, determined modulo S.
         """
         o = lcm(self.N // gcd(self.N, a), self.N // gcd(self.N, b))
-        g = (a, b, self.monomial(0, 0), self._zero)
-        acc = (0, 0, self._zero, self._zero)
-        for _ in range(o):
-            acc = self._affine_mul(acc, g)
-        ra, rb, m, c = acc
-        assert (ra, rb) == (0, 0)
-        return m, c
+        m = [0] * self.d
+        for i in range(o):
+            m[(i * a % self.qn) * self.qm + i * b % self.qm] += 1
+        c = self._make(*self._raw_pow((a, b, self._zero), o)).raw
+        return tuple(m), c
 
     def _solve_in_module(self, m, c):
         """A ring vector v with m v + c in S, or None if there is none.

@@ -7,11 +7,49 @@ solve per translation residue for the centre.  They need no theory beyond
 "z is central iff it commutes with x and y", so the tests compare the
 library's p + 1 line argument and fixed-sublattice rank test against them.
 Cost grows like N^2 Smith forms; keep them to N <= 16.
+
+The oracles multiply with their own ``affine_mul``, written apart from
+the library's collection code, so they do not share a multiplier with the
+code they check.
 """
 
 from math import gcd, lcm
 
 from gentorsion.intlin import IntMatrix, smith_normal_form, solve_integer_linear
+
+
+def affine_mul(G, f1, f2):
+    """Product of x^a y^b c^{m v + c} forms sharing one formal slot v.
+
+    m is a ring element acting by multiplication; folding x^N and y^N
+    contributes only to the constant part.
+    """
+    a1, b1, m1, c1 = f1
+    a2, b2, m2, c2 = f2
+    m = G._add(G._shift(m1, a2, b2), m2)
+    c = G._add(G._shift(c1, a2, b2), c2)
+    if a2 and b1:
+        c = G._add(c, G._neg(G._shift(G._psi_product(a2, b1), 0, b2)))
+    a, b = a1 + a2, b1 + b2
+    k, a = divmod(a, G.N)
+    if k:
+        c = G._add(c, G._scale(G._shift(G.g3, 0, b), k))
+    l, b = divmod(b, G.N)
+    if l:
+        c = G._add(c, G._scale(G.g4, l))
+    return (a, b, m, c)
+
+
+def residue_power(G, a, b):
+    """(m, c) with (x^a y^b c^v)^o = c^{m v + c}, o the order of (a, b)."""
+    o = lcm(G.N // gcd(G.N, a), G.N // gcd(G.N, b))
+    g = (a, b, G.monomial(0, 0), G._zero)
+    acc = (0, 0, G._zero, G._zero)
+    for _ in range(o):
+        acc = affine_mul(G, acc, g)
+    ra, rb, m, c = acc
+    assert (ra, rb) == (0, 0)
+    return m, c
 
 
 def relation_columns(G) -> IntMatrix:
@@ -36,19 +74,12 @@ def stacked_solve(G, m, rhs, srows):
 
 def find_torsion(G):
     """An element of finite order, or "free", trying every nonzero residue."""
-    unit = G.monomial(0, 0)
     srows = relation_columns(G)
     for a in range(G.N):
         for b in range(G.N):
             if (a, b) == (0, 0):
                 continue
-            o = lcm(G.N // gcd(G.N, a), G.N // gcd(G.N, b))
-            g = (a, b, unit, G._zero)
-            acc = (0, 0, G._zero, G._zero)
-            for _ in range(o):
-                acc = G._affine_mul(acc, g)
-            ra, rb, m, c = acc
-            assert (ra, rb) == (0, 0)
+            m, c = residue_power(G, a, b)
             sol = stacked_solve(G, m, G._neg(c), srows)
             if sol is not None:
                 return G._make(a, b, sol)
@@ -85,7 +116,7 @@ def check_center(G) -> bool:
             rows = []
             rhs = []
             for w in (x, y):
-                f = G._affine_mul(G._affine_mul(_affine_concrete(G, G.inv(w)), g), _affine_concrete(G, w))
+                f = affine_mul(G, affine_mul(G, _affine_concrete(G, G.inv(w)), g), _affine_concrete(G, w))
                 fa, fb, m, c = f
                 assert (fa, fb) == (a, b)
                 block = G._mult_matrix(m) - ident

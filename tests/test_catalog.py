@@ -67,8 +67,8 @@ def test_wreath_translation_structure():
     G = ExtensionGroup(build_wreath(C2))
     gens = dict(G.generators)
     t, s = gens["t"], gens["s1"]
-    assert G.in_translation(t)
-    assert not G.in_translation(s)
+    assert G.coset(t) == G.coset(G.identity())
+    assert G.coset(s) != G.coset(G.identity())
     assert G.translation_index() == 2
     # t * t^s has augmentation 2 and is fixed by s
     u = G.mul(t, G.conj(t, s))

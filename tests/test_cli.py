@@ -253,6 +253,14 @@ def test_input_errors(tmp_path, capsys):
     assert code == 2 and "not valid JSON" in err
 
 
+def test_large_power_in_gamma(capsys):
+    # square-and-multiply: about 60 muls, not 10^9, before the capability error
+    code, _, err = invoke(capsys, "decide", "gamma", "e^1000000000")
+    assert code == 2 and "error:" in err
+    gamma = resolve_group("gamma")
+    assert eval_word(gamma, parse_word("e^1000000000")).ring.augmentation() == 10**9
+
+
 def test_malformed_file_shapes(tmp_path, capsys):
     # Valid JSON of the wrong shape must hit the exit-2 input contract,
     # not leak a traceback.

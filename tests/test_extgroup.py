@@ -13,7 +13,7 @@ from gentorsion.extgroup import (
     spec_to_dict,
     validate_extension,
 )
-from gentorsion.gentor import SplitMix64
+from gentorsion.gentor import SplitMix64, witness_construct
 from gentorsion.intlin import IntMatrix
 
 
@@ -247,9 +247,12 @@ def test_transversal_words(promislow, dinf):
     assert [w for w, _ in promislow.labeled_transversal()] == ["1", "x", "y", "x*y"]
     assert [w for w, _ in dinf.labeled_transversal()] == ["1", "b"]
     gens = dict(promislow.generators)
-    assert [w for w, _ in promislow.labeled_transversal_mod(gens["x"])] == ["1", "y"]
+    # cosets of A<x> are represented by 1 and y, those of A<xy> by 1 and x
+    cert = witness_construct(promislow, gens["x"], base_word="x")
+    assert cert.words == ("1", "x", "y", "x*y")
     xy = promislow.mul(gens["x"], gens["y"])
-    assert [w for w, _ in promislow.labeled_transversal_mod(xy)] == ["1", "x"]
+    cert = witness_construct(promislow, xy, base_word="x*y")
+    assert cert.words == ("1", "x*y", "x", "x*y*x")
 
 
 def test_quotient_capabilities(promislow, dinf):
@@ -261,8 +264,8 @@ def test_quotient_capabilities(promislow, dinf):
     assert G.order_mod_translation(G.identity()) == 1
     assert G.holonomy_exponent() == 2
     assert dinf.holonomy_exponent() == 2
-    assert G.in_translation(ExtElement(0, (3, -1, 2)))
-    assert not G.in_translation(gens["x"])
+    assert G.coset(ExtElement(0, (3, -1, 2))) == G.coset(G.identity())
+    assert G.coset(gens["x"]) != G.coset(G.identity())
     assert len(G.transversal()) == 4
 
 

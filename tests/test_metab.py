@@ -10,7 +10,7 @@ import pytest
 from gentorsion.errors import GroupInputError
 from gentorsion.extgroup import ExtensionGroup
 from gentorsion.catalog import build_promislow
-from gentorsion.gentor import SplitMix64, gen_exponent_bounds
+from gentorsion.gentor import SplitMix64, gen_exponent_bounds, witness_construct
 from gentorsion.intlin import element_order_in_cokernel
 from gentorsion.metab import MetabElement, MetabGroup, build_K
 
@@ -268,9 +268,9 @@ def test_translation_capabilities(k211):
     G = k211
     x = G.collect([("x", 1)])
     x2 = G.collect([("x", 2)])
-    assert not G.in_translation(x)
-    assert G.in_translation(x2)
-    assert G.in_translation(G.identity())
+    assert G.coset(x) != G.coset(G.identity())
+    assert G.coset(x2) == G.coset(G.identity())
+    assert G.coset(x2) == G.coset(G.mul(x2, G.collect([("y", 2)])))
     assert G.translation_index() == 4
     assert G.order_mod_translation(x) == 2
     assert G.order_mod_translation(G.collect([("x", 1), ("y", 1)])) == 2
@@ -290,10 +290,11 @@ def test_transversal(k211):
 def test_transversal_mod(k211):
     G = k211
     x = G.collect([("x", 1)])
-    labeled = G.labeled_transversal_mod(x)
-    # cosets of <pi(x)> in C2 x C2: two reps
-    assert len(labeled) == 2
-    assert labeled[0][0] == "1"
+    cert = witness_construct(G, x, base_word="x")
+    # cosets of <pi(x)> in C2 x C2: two reps, each with 1 and x in front
+    assert cert.length == 4
+    assert cert.words[0] == "1"
+    assert len({G.coset(c) for c in cert.conjugators}) == 4
 
 
 def test_torsion_free(k211):

@@ -53,6 +53,18 @@ def test_torsion_residues_are_one_per_line():
         assert covered == {(s * i, s * j) for i in range(G.p) for j in range(G.p)} - {(0, 0)}
 
 
+@pytest.mark.parametrize("pnm", SMALL, ids=lambda t: "K:%d,%d,%d" % t)
+def test_residue_power_agrees_with_affine_power(pnm):
+    """m is built directly and c from one cover power; the oracle multiplies
+    affine forms step by step.  m must match exactly, c modulo S."""
+    G = build_K(*pnm)
+    for a, b in nonzero_residues(G):
+        m, c = G._residue_power(a, b)
+        m_old, c_old = brute.residue_power(G, a, b)
+        assert m == m_old, (a, b)
+        assert G.module.canonical(c) == G.module.canonical(c_old), (a, b)
+
+
 @pytest.mark.parametrize("pnm", ((2, 1, 1), (3, 1, 1)), ids=lambda t: "K:%d,%d,%d" % t)
 def test_module_solve_agrees_with_stacked_solve(pnm):
     """The solution branch, which no torsion-free K reaches on its own.
