@@ -177,7 +177,15 @@ def _cmd_witness(args) -> int:
     if args.search:
         cert = gentor.gen_order_search(G, g, max_k=args.max_k, radius=args.radius)
         if cert is None:
+            order = G.abelianization().order_of(G.ab_vector(g))
+            if order is None:
+                reason = "not_generalized_torsion"
+            elif args.max_k < order:
+                reason = "below_pi_order"
+            else:
+                reason = "exhausted"
             print("result=absent")
+            print(f"reason={reason}")
             print(f"note=no identity of length <= {args.max_k} over the radius-{args.radius} ball")
             return 0
     else:

@@ -287,13 +287,26 @@ def gen_order_search(G, g, max_k: int, radius: int):
     """Least k <= max_k with a trivial product of k conjugates, or None.
 
     Conjugators range over the ball of word length <= radius in the
-    generators.  Levels are breadth-first products deduplicated by
-    canonical form; only levels divisible by the abelianization lower
-    bound are tested (smaller ones cannot reach the identity).  The
-    returned certificate uses the lexicographically least conjugator
-    sequence among minimal ones, given the fixed enumeration order.
+    generators.  A product of k conjugates of g maps to k times the image
+    of g in G^ab, so with lb the order of that image only the lengths
+    k = lb, 2*lb, ... <= max_k can be trivial, and only those are tested.
 
-    None means the search was exhausted, not that no identity exists.
+    Level j holds the distinct products of j conjugates, each mapped to
+    the first (state at level j-1, conjugate index) that reached it; by
+    induction its insertion order is the lexicographic order of the
+    least sequences reaching its states.  Length k is tested by meeting
+    in the middle: with h = ceil(k/2), walk level h in order and stop at
+    the first s whose inverse lies in level k-h.  Only levels up to
+    ceil(max_k/2) are ever built.  The certificate is the least sequence
+    to s followed by the least sequence to s^-1, and it is the
+    lexicographically least minimal sequence: if a trivial product has
+    prefix P of length h ending at s, putting the least sequence to s in
+    place of P keeps the product trivial and is no larger.
+
+    None when max_k < lb holds for every conjugator, not just the ball:
+    it is returned before the ball is built.  None when g is not
+    generalized torsion is likewise absolute.  Otherwise None means only
+    that the ball was exhausted, not that no identity exists.
     """
     _require(G, "abelianization", "ab_vector")
     if radius < 0:
@@ -301,43 +314,43 @@ def gen_order_search(G, g, max_k: int, radius: int):
     if max_k < 1:
         raise GroupInputError(f"max_k must be >= 1, got {max_k}")
     lb = G.abelianization().order_of(G.ab_vector(g))
-    if lb is None:
+    if lb is None or lb > max_k:
         return None
 
     conjugates = _conjugate_set(G, g, radius)
-    ident = G.identity()
-    # parents[k-1][state] = (state at level k-1, conjugate index) for the
-    # first (lexicographically least) way to reach state with k factors
-    parents = []
-    current = {ident: None}
-    found_k = None
-    for k in range(1, max_k + 1):
-        nxt = {}
-        for state in current:
-            for i, (_, _, c) in enumerate(conjugates):
-                p = G.mul(state, c)
-                if p not in nxt:
-                    nxt[p] = (state, i)
-        parents.append(nxt)
-        current = nxt
-        if k % lb == 0 and ident in nxt:
-            found_k = k
+    # levels[j][state] = (state at level j-1, conjugate index), first reached
+    levels = [{G.identity(): None}]
+
+    def path_to(j, state):
+        path = []
+        for level in reversed(levels[1 : j + 1]):
+            state, idx = level[state]
+            path.append(idx)
+        return path[::-1]
+
+    for k in range(lb, max_k + 1, lb):
+        h = (k + 1) // 2
+        while len(levels) <= h:
+            nxt = {}
+            for state in levels[-1]:
+                for i, (_, _, c) in enumerate(conjugates):
+                    p = G.mul(state, c)
+                    if p not in nxt:
+                        nxt[p] = (state, i)
+            levels.append(nxt)
+        other = levels[k - h]
+        s = next((u for u in levels[h] if G.inv(u) in other), None)
+        if s is not None:
             break
-    if found_k is None:
+    else:
         return None
 
-    path = []
-    state = ident
-    for k in range(found_k - 1, -1, -1):
-        prev_state, idx = parents[k][state]
-        path.append(idx)
-        state = prev_state
-    path.reverse()
+    path = path_to(h, s) + path_to(k - h, G.inv(s))
     words = tuple(conjugates[i][0] for i in path)
     xs = tuple(conjugates[i][1] for i in path)
     if not _verify_product(G, g, xs):
         raise TheoremViolationError("search reconstruction does not multiply to the identity")
-    return WitnessCertificate(g, xs, words, found_k, True)
+    return WitnessCertificate(g, xs, words, k, True)
 
 
 def _generator_ball(G, radius: int):

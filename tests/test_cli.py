@@ -127,6 +127,24 @@ def test_witness_search(capsys):
     assert "result=absent" in out
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (("klein", "y"), "not_generalized_torsion"),
+        (("K:3,1,1", "x", "--max-k", "8", "--radius", "2"), "below_pi_order"),
+        (("promislow", "x", "--radius", "0"), "exhausted"),
+        # max_k equal to pi_order is searched, not ruled out
+        (("promislow", "x", "--max-k", "4", "--radius", "0"), "exhausted"),
+    ],
+)
+def test_witness_search_absent_reason(capsys, argv, reason):
+    code, out, _ = invoke(capsys, "witness", *argv, "--search")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:2] == ["result=absent", f"reason={reason}"]
+    assert lines[2].startswith("note=")
+
+
 def test_witness_rejects_non_torsion(capsys):
     code, _, err = invoke(capsys, "witness", "klein", "y")
     assert code == 2

@@ -1,0 +1,150 @@
+"""The bounded order search against the level-by-level brute force.
+
+``gen_order_search`` tests only lengths divisible by the abelianization
+lower bound, returns early when that bound exceeds ``max_k``, and meets
+two half-depth levels in the middle.  ``search_bruteforce`` builds every
+level up to ``max_k``; both must return the same certificate (words,
+conjugators and length) or both None, and the fast search must do less
+work.
+"""
+
+import functools
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gentorsion.catalog import (
+    build_dihedral_infinite,
+    build_K_group,
+    build_klein_bottle,
+    build_promislow,
+)
+from gentorsion.extgroup import ExtensionGroup
+from gentorsion.gentor import (
+    SplitMix64,
+    conjugate,
+    gen_order_lower_bound,
+    gen_order_search,
+    power,
+)
+from gentorsion.words import eval_word, parse_word
+
+import search_bruteforce as brute
+
+BACKENDS = {
+    "promislow": lambda: ExtensionGroup(build_promislow(), name="promislow"),
+    "klein": lambda: ExtensionGroup(build_klein_bottle(), name="klein"),
+    "dinf": lambda: ExtensionGroup(build_dihedral_infinite(), name="dinf"),
+    "K:2,1,1": lambda: build_K_group(2, 1, 1),
+}
+
+
+@functools.cache
+def backend(name):
+    return BACKENDS[name]()
+
+
+def random_word(G, rng):
+    names = [n for n, _ in G.generators]
+    letters = []
+    for _ in range(1 + rng.randrange(6)):
+        name = names[rng.randrange(len(names))]
+        letters.append(name if rng.randrange(2) else f"{name}^-1")
+    return "*".join(letters)
+
+
+def assert_same_search(G, g, max_k, radius):
+    fast = gen_order_search(G, g, max_k, radius)
+    slow = brute.gen_order_search(G, g, max_k, radius)
+    if slow is None:
+        assert fast is None
+        return False
+    assert fast is not None
+    assert fast.words == slow.words
+    assert fast.conjugators == slow.conjugators
+    assert fast.length == slow.length
+    assert fast == slow
+    return True
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+def test_search_agrees_with_brute_force(name):
+    G = backend(name)
+    rng = SplitMix64(40701 + len(name))
+    found = 0
+    cases = 60
+    for _ in range(cases):
+        word = random_word(G, rng)
+        g = eval_word(G, parse_word(word))
+        max_k = 1 + rng.randrange(8)
+        radius = rng.randrange(3)
+        found += assert_same_search(G, g, max_k, radius)
+    # both outcomes are exercised on every backend
+    assert 0 < found < cases
+
+
+letters = st.lists(st.tuples(st.integers(0, 7), st.booleans()), min_size=1, max_size=6)
+search_settings = settings(derandomize=True, deadline=None, max_examples=25)
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+def test_search_agrees_with_brute_force_property(name):
+    G = backend(name)
+    gens = [e for _, e in G.generators]
+
+    @search_settings
+    @given(letters, st.integers(1, 8), st.integers(0, 2))
+    def check(w, max_k, radius):
+        g = G.identity()
+        for index, inverse in w:
+            e = gens[index % len(gens)]
+            g = G.mul(g, G.inv(e) if inverse else e)
+        assert_same_search(G, g, max_k, radius)
+
+    check()
+
+
+# -- cost ------------------------------------------------------------------
+
+
+class MulCounter:
+    """A backend proxy that counts ``mul`` calls, conjugations included."""
+
+    conj = conjugate
+    pow = power
+
+    def __init__(self, G):
+        self.G = G
+        self.generators = G.generators
+        self.muls = 0
+
+    def __getattr__(self, attr):
+        return getattr(self.G, attr)
+
+    def mul(self, g, h):
+        self.muls += 1
+        return self.G.mul(g, h)
+
+
+@pytest.fixture(scope="module")
+def k311():
+    G = build_K_group(3, 1, 1)
+    G.abelianization()
+    return G
+
+
+def test_search_below_lower_bound_makes_no_products(k311):
+    x = k311.collect([("x", 1)])
+    assert gen_order_lower_bound(k311, x) == 9
+    counter = MulCounter(k311)
+    assert gen_order_search(counter, x, max_k=8, radius=2) is None
+    assert counter.muls == 0
+
+
+def test_search_makes_fewer_products_than_brute_force(k311):
+    x = k311.collect([("x", 1)])
+    fast, slow = MulCounter(k311), MulCounter(k311)
+    cert = gen_order_search(fast, x, max_k=9, radius=1)
+    assert cert == brute.gen_order_search(slow, x, max_k=9, radius=1)
+    assert cert.length == 9
+    assert fast.muls < slow.muls
