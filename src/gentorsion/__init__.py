@@ -2,7 +2,7 @@
 
 Exact decision of generalized torsion through the abelianization,
 transversal-based witness certificates, generalized-exponent bounds,
-positive-identity construction and verification (symbolic or sampled),
+positive-identity construction and verification (universal or sampled),
 and a bounded minimal-order search, over interchangeable backends:
 crystallographic extension data, the metabelian K(p^n, p^m) collection
 engine, and a group-ring semidirect product for sampled-only checks.

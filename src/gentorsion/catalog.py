@@ -47,8 +47,8 @@ def build_promislow() -> ExtensionSpec:
     return _load_spec("promislow.json")
 
 
-def build_K_group(p: int, n: int, m: int, size_cap: int = 256) -> MetabGroup:
-    return build_K(p, n, m, size_cap=size_cap)
+def build_K_group(p: int, n: int, m: int) -> MetabGroup:
+    return build_K(p, n, m)
 
 
 def build_wreath(q_table) -> ExtensionSpec:
@@ -116,9 +116,11 @@ def build_free_abelianized_extension(inp: FreeAbelExtInput) -> ExtensionSpec:
             raise GroupInputError("generator image outside the group")
     inverse = [row.index(0) for row in table]
 
-    # breadth-first Schreier tree; transversal words as (gen, +-1) lists
+    # breadth-first Schreier tree; transversal words as (gen, +-1) lists.
+    # A tree edge (q, i) is the edge q -> q * image(f_i), recorded when it
+    # first reaches a coset (read backwards for an inverse step).
     words = {0: ()}
-    order = [0]
+    tree_edges = set()
     frontier = [0]
     while frontier:
         nxt = []
@@ -127,20 +129,11 @@ def build_free_abelianized_extension(inp: FreeAbelExtInput) -> ExtensionSpec:
                 for sgn, target in ((1, table[q][img]), (-1, table[q][inverse[img]])):
                     if target not in words:
                         words[target] = words[q] + ((i, sgn),)
-                        order.append(target)
+                        tree_edges.add((q, i) if sgn == 1 else (target, i))
                         nxt.append(target)
         frontier = nxt
     if len(words) != size:
         raise GroupInputError("generator images do not generate the target group")
-
-    tree_edges = set()
-    for q in order[1:]:
-        prefix = words[q][:-1]
-        src = 0
-        for i, sgn in prefix:
-            src = table[src][inp.images[i]] if sgn == 1 else table[src][inverse[inp.images[i]]]
-        i, sgn = words[q][-1]
-        tree_edges.add((src, i) if sgn == 1 else (q, i))
 
     schreier = []
     index = {}
@@ -194,10 +187,7 @@ def build_free_abelianized_extension(inp: FreeAbelExtInput) -> ExtensionSpec:
         row = []
         for q2 in range(size):
             walk = words[q1] + words[q2]
-            q12 = 0
-            for i, sgn in walk:
-                q12 = table[q12][inp.images[i]] if sgn == 1 else table[q12][inverse[inp.images[i]]]
-            vec, end = rewrite(inv_word(words[q12]) + walk)
+            vec, end = rewrite(inv_word(words[table[q1][q2]]) + walk)
             if end != 0:
                 raise TheoremViolationError("cocycle word left the kernel")
             row.append(vec)
@@ -327,6 +317,11 @@ class CasoloGroup:
                 raise TheoremViolationError("sigma candidate does not invert the sign")
             out.append(GammaElement(GroupRingElement(()), self.P.identity(), h))
         return out
+
+    def positive_identity(self):
+        """Inner exponent 1 and the degree-16 conjugator list for the
+        first sigma candidate (the backend contract's optional entry)."""
+        return 1, self.identity_conjugators(self.sigma_candidates()[0])
 
     def identity_conjugators(self, sigma: GammaElement):
         """The degree-16 conjugator list: 8 diagonal pairs, then the same

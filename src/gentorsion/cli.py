@@ -105,13 +105,6 @@ def _load_json(path: str):
         raise GroupInputError(f"{path} is not valid JSON: {exc}") from None
 
 
-def _element(G, text: str):
-    try:
-        return eval_word(G, parse_word(text))
-    except KeyError as exc:
-        raise GroupInputError(f"unknown generator {exc.args[0]!r} in {text!r}") from None
-
-
 def _element_json(e):
     if isinstance(e, ExtElement):
         return {"q": e.q, "a": list(e.a)}
@@ -163,7 +156,7 @@ def _cmd_info(args) -> int:
 
 def _cmd_decide(args) -> int:
     G = resolve_group(args.group)
-    g = _element(G, args.word)
+    g = eval_word(G, parse_word(args.word))
     ans = gentor.is_generalized_torsion(G, g)
     order = G.abelianization().order_of(G.ab_vector(g))
     print(f"generalized_torsion={str(ans).lower()}")
@@ -173,20 +166,24 @@ def _cmd_decide(args) -> int:
 
 def _cmd_witness(args) -> int:
     G = resolve_group(args.group)
-    g = _element(G, args.word)
+    g = eval_word(G, parse_word(args.word))
     if args.search:
         cert = gentor.gen_order_search(G, g, max_k=args.max_k, radius=args.radius)
         if cert is None:
             order = G.abelianization().order_of(G.ab_vector(g))
             if order is None:
                 reason = "not_generalized_torsion"
+                note = "no product of conjugates of this element is 1, at any length"
             elif args.max_k < order:
                 reason = "below_pi_order"
+                note = (f"every identity has length divisible by pi_order={order}, "
+                        f"so none has length <= {args.max_k} for any conjugators")
             else:
                 reason = "exhausted"
+                note = f"no identity of length <= {args.max_k} over the radius-{args.radius} ball"
             print("result=absent")
             print(f"reason={reason}")
-            print(f"note=no identity of length <= {args.max_k} over the radius-{args.radius} ball")
+            print(f"note={note}")
             return 0
     else:
         cert = gentor.witness_construct(G, g, base_word=args.word)

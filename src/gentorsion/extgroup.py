@@ -24,7 +24,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .errors import GroupInputError
-from .gentor import conjugate, power
+from .gentor import _verify_product, conjugate, power
 from .intlin import IntMatrix, cokernel_structure, smith_normal_form, solve_integer_linear
 from .words import run_word
 
@@ -283,8 +283,9 @@ class ExtensionGroup:
     def torsion_witness(self):
         """An element of finite order, or None if the group is torsion-free.
 
-        For each q != 0 of order o in Q, (q, a)^o = (0, N_q a + c_q) with
-        N_q and c_q computed symbolically; a torsion element exists exactly
+        For each q != 0 of order o in Q, (q, a)^o = (0, N_q a + c_q), affine
+        in a: c_q is the lattice part at a = 0 and column i of N_q is the
+        lattice part at a = e_i minus c_q.  A torsion element exists exactly
         when N_q x = -c_q has an integer solution.
         """
         if self._torsion is None:
@@ -295,15 +296,9 @@ class ExtensionGroup:
         s = self.spec
         for q in range(1, s.q_size):
             o = self.q_order(q)
-            qacc = 0
-            m = IntMatrix.zeros(s.n, s.n)
-            c = (0,) * s.n
-            for _ in range(o):
-                m = s.phi[q] @ m + IntMatrix.identity(s.n)
-                c = _vadd(s.coc[qacc][q], s.phi[q].mat_vec(c))
-                qacc = s.q_table[qacc][q]
-            assert qacc == 0
-            x = solve_integer_linear(m, _vneg(c))
+            c = self.pow(ExtElement(q, (0,) * s.n), o).a
+            cols = [_vadd(self.pow(ExtElement(q, e), o).a, _vneg(c)) for e in _basis(s.n)]
+            x = solve_integer_linear(IntMatrix(zip(*cols), cols=s.n), _vneg(c))
             if x is not None:
                 return ExtElement(q, _vec(x))
         return None
@@ -323,72 +318,26 @@ class ExtensionGroup:
         diag = smith_normal_form(stacked).diagonal()
         return s.n - sum(1 for d in diag if d != 0)
 
-    # -- symbolic products (a treated as a formal vector) -------------------
-
-    def symbolic_element(self, q: int):
-        """(q, a) with formal a, as the triple (q, I, 0)."""
-        return (q, IntMatrix.identity(self.spec.n), (0,) * self.spec.n)
-
-    def symbolic_mul(self, s1, s2):
-        q1, m1, c1 = s1
-        q2, m2, c2 = s2
-        s = self.spec
-        return (
-            s.q_table[q1][q2],
-            s.phi[q2] @ m1 + m2,
-            _vadd(_vadd(s.coc[q1][q2], s.phi[q2].mat_vec(c1)), c2),
-        )
-
-    def symbolic_mul_concrete_left(self, x: ExtElement, sym):
-        q2, m, c = sym
-        s = self.spec
-        return (
-            s.q_table[x.q][q2],
-            m,
-            _vadd(_vadd(s.coc[x.q][q2], s.phi[q2].mat_vec(x.a)), c),
-        )
-
-    def symbolic_mul_concrete_right(self, sym, x: ExtElement):
-        q1, m, c = sym
-        s = self.spec
-        return (
-            s.q_table[q1][x.q],
-            s.phi[x.q] @ m,
-            _vadd(_vadd(s.coc[q1][x.q], s.phi[x.q].mat_vec(c)), x.a),
-        )
-
-    def symbolic_conj(self, sym, x: ExtElement):
-        return self.symbolic_mul_concrete_right(self.symbolic_mul_concrete_left(self.inv(x), sym), x)
-
-    def symbolic_pow(self, q: int, k: int):
-        """(q, a)^k as (point part, N, c) with a formal."""
-        out = (0, IntMatrix.zeros(self.spec.n, self.spec.n), (0,) * self.spec.n)
-        g = self.symbolic_element(q)
-        for _ in range(k):
-            out = self.symbolic_mul(out, g)
-        return out
-
     def verify_positive_identity_all(self, k: int, conjugators) -> bool:
         """True iff prod_j (g^k)^{x_j} = 1 for EVERY group element g.
 
-        The base element is kept formal: for each point part q the product
-        is computed with a as a symbolic vector, and the identity holds for
-        all of G exactly when every resulting point part, matrix part, and
-        constant part vanishes.
+        Fix the point part q of g = (q, a).  Once point parts are fixed,
+        the lattice part of a product, coc + phi a + a', is affine in the
+        lattice parts of its factors, so the product of the conjugates of
+        (q, a)^k is (q', L a + c) with q', L and c depending on q alone.
+        It is 1 for every a exactly when it is 1 at a = 0 (q' = 0, c = 0)
+        and at each basis vector e_i (then L e_i = 0).  Evaluating at those
+        n + 1 points for every q, with the ordinary arithmetic, decides the
+        identity over all of G.
         """
-        n = self.spec.n
-        zero_m = IntMatrix.zeros(n, n)
-        zero_v = (0,) * n
-        for q in range(self.spec.q_size):
-            base = self.symbolic_pow(q, k)
-            total = None
-            for x in conjugators:
-                term = self.symbolic_conj(base, x)
-                total = term if total is None else self.symbolic_mul(total, term)
-            tq, tm, tc = total
-            if tq != 0 or tm != zero_m or tc != zero_v:
-                return False
-        return True
+        s = self.spec
+        points = [(0,) * s.n] + _basis(s.n)
+        bases = (self.pow(ExtElement(q, a), k) for q in range(s.q_size) for a in points)
+        return _verify_product(self, bases, conjugators)
+
+
+def _basis(n: int) -> list:
+    return [tuple(int(i == j) for j in range(n)) for i in range(n)]
 
 
 def _format_run(word) -> str:

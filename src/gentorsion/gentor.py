@@ -21,8 +21,11 @@ Backends are duck-typed; this is their whole contract.
   of gA and ``holonomy_exponent()`` = exp(G/A); ``labeled_transversal()``,
   (word, element) pairs, one per coset of A, starting with the identity
   "1", and ``transversal()``, one element per coset.
-* Optional: ``verify_positive_identity_all(k, conjugators)`` (symbolic
-  check over all of G), ``is_torsion_free()``/``torsion_witness()``,
+* Optional: ``verify_positive_identity_all(k, conjugators)`` (exact
+  check over all of G); ``positive_identity()``, a (k, conjugators) pair
+  with (g^k)^{x_1} ... (g^k)^{x_m} = 1 for every g, which
+  ``positive_identity_witnesses`` returns in place of the transversal
+  construction; ``is_torsion_free()``/``torsion_witness()``;
   ``center_rank()`` or ``has_trivial_center()``.
 
 Operations that need a capability the backend lacks raise
@@ -177,11 +180,24 @@ class WitnessCertificate:
     verified: bool
 
 
-def _verify_product(G, g, conjugators):
-    out = G.identity()
-    for x in conjugators:
-        out = G.mul(out, G.conj(g, x))
-    return out == G.identity()
+def _verify_product(G, bases, conjugators):
+    """True iff h^{x_1} h^{x_2} ... h^{x_m} = 1 for every h in ``bases``.
+
+    With z_j = x_j x_{j+1}^-1 (indices mod m), h z_1 h z_2 ... h z_m is
+    x_1 (h^{x_1} ... h^{x_m}) x_1^-1, which is 1 exactly when the product
+    of conjugates is.  The z_j are formed once, so each base costs 2m
+    muls.
+    """
+    xs = list(conjugators)
+    zs = [G.mul(x, G.inv(y)) for x, y in zip(xs, xs[1:] + xs[:1])]
+    one = G.identity()
+    for h in bases:
+        out = one
+        for z in zs:
+            out = G.mul(G.mul(out, h), z)
+        if out != one:
+            return False
+    return True
 
 
 def _power_word(base_word: str, i: int) -> str:
@@ -241,7 +257,7 @@ def witness_construct(G, g, base_word: str = "g") -> WitnessCertificate:
         words = tuple(w for w, _ in pairs for _ in range(n))
         conjugators = tuple(s for _, s in pairs for _ in range(n))
 
-    if not _verify_product(G, g, conjugators):
+    if not _verify_product(G, (g,), conjugators):
         raise TheoremViolationError(
             "constructed witness product is not the identity; "
             "the transversal argument failed"
@@ -256,8 +272,11 @@ def positive_identity_witnesses(G):
     """Inner exponent k = exp(G/A) and transversal conjugators.
 
     The resulting identity (g^k)^{x_1} ... (g^k)^{x_m} = 1 holds for every
-    g and has degree k * [G:A].
+    g and has degree k * [G:A].  A backend that provides
+    ``positive_identity()`` supplies its own (k, conjugators) instead.
     """
+    if hasattr(G, "positive_identity"):
+        return G.positive_identity()
     _require(G, "holonomy_exponent", "transversal")
     if not G.abelianization().is_finite:
         raise GroupInputError("positive identities need a finite abelianization")
@@ -265,7 +284,7 @@ def positive_identity_witnesses(G):
 
 
 def verify_identity_universal(G, k: int, conjugators) -> bool:
-    """Symbolic check that the identity holds for all elements at once."""
+    """Exact check that the identity holds for all elements at once."""
     _require(G, "verify_positive_identity_all")
     return G.verify_positive_identity_all(k, conjugators)
 
@@ -273,11 +292,8 @@ def verify_identity_universal(G, k: int, conjugators) -> bool:
 def verify_identity_sampled(G, k: int, conjugators, samples: int, seed: int) -> bool:
     """Evaluate the identity on seeded pseudorandom elements."""
     rng = SplitMix64(seed)
-    for _ in range(samples):
-        g = random_word_element(G, rng)
-        if not _verify_product(G, G.pow(g, k), conjugators):
-            return False
-    return True
+    bases = (G.pow(random_word_element(G, rng), k) for _ in range(samples))
+    return _verify_product(G, bases, conjugators)
 
 
 # -- bounded minimal-order search ----------------------------------------
@@ -348,7 +364,7 @@ def gen_order_search(G, g, max_k: int, radius: int):
     path = path_to(h, s) + path_to(k - h, G.inv(s))
     words = tuple(conjugates[i][0] for i in path)
     xs = tuple(conjugates[i][1] for i in path)
-    if not _verify_product(G, g, xs):
+    if not _verify_product(G, (g,), xs):
         raise TheoremViolationError("search reconstruction does not multiply to the identity")
     return WitnessCertificate(g, xs, words, k, True)
 

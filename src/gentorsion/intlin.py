@@ -86,9 +86,6 @@ class IntMatrix:
     def row(self, i: int) -> tuple[int, ...]:
         return self._data[i]
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self._data)
-
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self._data]
 

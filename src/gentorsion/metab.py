@@ -31,6 +31,7 @@ from math import gcd, lcm
 from .errors import GroupInputError, TheoremViolationError
 from .gentor import conjugate, power
 from .intlin import IntMatrix, cokernel_structure, smith_normal_form, solve_integer_linear
+from .words import run_word
 
 
 @dataclass(frozen=True)
@@ -316,8 +317,7 @@ class MetabGroup:
         out = []
         for i in range(self.qn):
             for j in range(self.qm):
-                word = "1" if i == 0 and j == 0 else _xy_word(i, j)
-                out.append((word, self._make(i, j, self._zero)))
+                out.append((run_word([("x", i), ("y", j)]), self._make(i, j, self._zero)))
         return out
 
     def abelianization(self):
@@ -428,15 +428,6 @@ class MetabGroup:
         return kernel_rank == self.d - self.module.free_rank
 
 
-def _xy_word(i: int, j: int) -> str:
-    parts = []
-    if i:
-        parts.append("x" if i == 1 else f"x^{i}")
-    if j:
-        parts.append("y" if j == 1 else f"y^{j}")
-    return "*".join(parts)
-
-
-def build_K(p: int, n: int, m: int, size_cap: int = 256) -> MetabGroup:
+def build_K(p: int, n: int, m: int) -> MetabGroup:
     """Construct K(p^n, p^m); raises GroupInputError on bad parameters."""
-    return MetabGroup(p, n, m, size_cap=size_cap)
+    return MetabGroup(p, n, m)

@@ -53,6 +53,6 @@ def gen_order_search(G, g, max_k: int, radius: int):
     path.reverse()
     words = tuple(conjugates[i][0] for i in path)
     xs = tuple(conjugates[i][1] for i in path)
-    if not _verify_product(G, g, xs):
+    if not _verify_product(G, (g,), xs):
         raise TheoremViolationError("search reconstruction does not multiply to the identity")
     return WitnessCertificate(g, xs, words, found_k, True)

@@ -16,7 +16,7 @@ from gentorsion.catalog import (
     trivial_z_spec,
 )
 from gentorsion.errors import GroupInputError
-from gentorsion.extgroup import ExtensionGroup, validate_extension
+from gentorsion.extgroup import ExtensionGroup, spec_to_dict, validate_extension
 from gentorsion.gentor import (
     DirectProductGroup,
     SplitMix64,
@@ -127,6 +127,28 @@ def test_freeabext_rank_two_over_klein_four():
     assert spec.n == 4 * (2 - 1) + 1 == 5
     assert validate_extension(spec).ok
     assert ExtensionGroup(spec).abelianization().free_rank == 2
+
+
+def test_freeabext_rank_two_over_c3_spec():
+    # pinned: the Schreier tree, the lattice basis order, phi and the
+    # factor set all show in the spec
+    spec = build_free_abelianized_extension(FreeAbelExtInput.build(2, C3, [1, 1]))
+    assert spec_to_dict(spec) == {
+        "q_size": 3,
+        "q_table": C3,
+        "n": 4,
+        "phi": [
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+            [[0, 0, 1, 0], [0, 1, 1, -1], [0, 0, 0, 1], [1, 0, 0, 0]],
+            [[0, 0, 0, 1], [-1, 1, 1, 0], [1, 0, 0, 0], [0, 0, 1, 0]],
+        ],
+        "coc": [
+            [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+            [[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]],
+            [[0, 0, 0, 0], [0, 0, 0, 0], [0, -1, 0, 0]],
+        ],
+        "generators": {"f1": {"q": 1, "a": [0, 0, 0, 0]}, "f2": {"q": 1, "a": [0, 0, 0, 1]}},
+    }
 
 
 def test_freeabext_input_errors():

@@ -127,6 +127,18 @@ def test_witness_search(capsys):
     assert "result=absent" in out
 
 
+# the note states an absolute answer unless the ball was searched
+ABSENT_NOTES = {
+    ("klein", "y"): "no product of conjugates of this element is 1, at any length",
+    ("K:3,1,1", "x", "--max-k", "8", "--radius", "2"):
+        "every identity has length divisible by pi_order=9, "
+        "so none has length <= 8 for any conjugators",
+    ("promislow", "x", "--radius", "0"): "no identity of length <= 8 over the radius-0 ball",
+    ("promislow", "x", "--max-k", "4", "--radius", "0"):
+        "no identity of length <= 4 over the radius-0 ball",
+}
+
+
 @pytest.mark.parametrize(
     "argv, reason",
     [
@@ -141,8 +153,7 @@ def test_witness_search_absent_reason(capsys, argv, reason):
     code, out, _ = invoke(capsys, "witness", *argv, "--search")
     assert code == 0
     lines = out.splitlines()
-    assert lines[:2] == ["result=absent", f"reason={reason}"]
-    assert lines[2].startswith("note=")
+    assert lines == ["result=absent", f"reason={reason}", f"note={ABSENT_NOTES[argv]}"]
 
 
 def test_witness_rejects_non_torsion(capsys):
@@ -167,12 +178,27 @@ def test_identity_sampled_default_seed(capsys):
 
 
 def test_identity_sampled_backend_without_symbolic(capsys):
-    # the group-ring-free metab backend has no symbolic verifier, so the
+    # the metab backend has no universal verifier, so the
     # default mode falls back to sampling
     code, out, _ = invoke(capsys, "identity", "K:3,1,1", "--samples", "20")
     assert code == 0
     assert "inner_exponent=3 conjugators=9 degree=27" in out
     assert "mode=sampled" in out
+
+
+def test_identity_gamma(capsys):
+    # Gamma supplies its degree-16 identity through positive_identity();
+    # it has no universal check, so only the sampled mode runs
+    code, out, _ = invoke(capsys, "identity", "gamma")
+    assert code == 0
+    assert out.splitlines() == [
+        "inner_exponent=1 conjugators=16 degree=16",
+        f"mode=sampled samples=200 seed={DEFAULT_SEED}",
+        "verified=true",
+    ]
+    code, _, err = invoke(capsys, "identity", "gamma", "--universal")
+    assert code == 2
+    assert "verify_positive_identity_all" in err
 
 
 def test_seed_precedence(capsys, monkeypatch):

@@ -280,7 +280,7 @@ def test_universal_identity(promislow, klein):
 
 
 def test_universal_identity_spot_check(promislow):
-    # the symbolic verdict must agree with direct evaluation on samples
+    # the universal verdict must agree with direct evaluation on samples
     G = promislow
     T = G.transversal()
     rng = SplitMix64(61)

@@ -237,6 +237,19 @@ def test_sampled_on_metab_backend():
         verify_identity_universal(G, k, conj)
 
 
+def test_positive_identity_from_contract():
+    # Gamma has no lattice capabilities; it supplies its identity itself
+    gamma = build_casolo_gamma()
+    k, conj = positive_identity_witnesses(gamma)
+    assert k == 1
+    assert conj == gamma.identity_conjugators(gamma.sigma_candidates()[0])
+    assert len(conj) == 16
+    assert verify_identity_sampled(gamma, k, conj, samples=20, seed=20406)
+    assert not verify_identity_sampled(gamma, k, conj[:-1], samples=20, seed=20406)
+    with pytest.raises(BackendCapabilityError):
+        verify_identity_universal(gamma, k, conj)
+
+
 def test_klein_has_no_positive_identity(klein):
     with pytest.raises(GroupInputError):
         positive_identity_witnesses(klein)

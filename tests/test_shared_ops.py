@@ -1,8 +1,10 @@
-"""The shared ``conjugate``/``power`` and the coset-based certificates.
+"""The shared ``conjugate``/``power``, the product-of-conjugates check and
+the coset-based certificates.
 
 Every backend binds ``conj = conjugate`` and ``pow = power`` from
 ``gentor``; the group laws below hold for each of them, and ``power``
-makes the advertised number of multiplications.  ``witness_construct``
+makes the advertised number of multiplications.  ``_verify_product``
+agrees with multiplying the conjugates out.  ``witness_construct``
 walks the labeled transversal once and skips covered cosets by their
 ``coset`` labels; its certificates must have length [G:A] with one
 conjugator per coset of A whenever G^ab is finite or g lies in A.
@@ -26,7 +28,9 @@ from gentorsion.extgroup import ExtensionGroup, direct_product
 from gentorsion.gentor import (
     DirectProductGroup,
     SplitMix64,
+    _verify_product,
     is_generalized_torsion,
+    positive_identity_witnesses,
     power,
     witness_construct,
 )
@@ -106,6 +110,40 @@ def test_conjugation_is_a_right_action(name):
     def check(wg, wx, wy):
         g, x, y = element(G, wg), element(G, wx), element(G, wy)
         assert G.conj(G.conj(g, x), y) == G.conj(g, G.mul(x, y))
+
+    check()
+
+
+def plain_product_is_one(G, h, xs):
+    out = G.identity()
+    for x in xs:
+        out = G.mul(out, G.conj(h, x))
+    return out == G.identity()
+
+
+@pytest.mark.parametrize("name", GROUP_LAW_BACKENDS)
+def test_telescoped_product_check(name):
+    # _verify_product tests h z_1 ... h z_m with z_j = x_j x_{j+1}^-1 in
+    # place of the product of conjugates; a cyclic rotation of the
+    # backend's positive identity moves x_1 away from 1 and keeps it true
+    G = backend(name)
+    k, identity_xs = positive_identity_witnesses(G)
+
+    @law_settings
+    @given(st.lists(words, min_size=1, max_size=3), st.booleans(), st.integers(0, 63),
+           st.lists(words, max_size=4))
+    def check(base_words, use_identity, rotation, other_words):
+        if use_identity:
+            bases = [G.pow(element(G, w), k) for w in base_words]
+            r = rotation % len(identity_xs)
+            xs = identity_xs[r:] + identity_xs[:r]
+        else:
+            bases = [element(G, w) for w in base_words]
+            xs = [element(G, w) for w in other_words]
+        expected = all(plain_product_is_one(G, h, xs) for h in bases)
+        assert _verify_product(G, bases, xs) == expected
+        if use_identity:
+            assert expected
 
     check()
 
