@@ -216,14 +216,15 @@ def _cmd_identity(args) -> int:
         samples = args.samples if args.samples is not None else 200
         seed = _seed(args)
     k, conjugators = gentor.positive_identity_witnesses(G)
-    degree = k * len(conjugators)
-    print(f"inner_exponent={k} conjugators={len(conjugators)} degree={degree}")
+    # verify before printing, so a capability or input error leaves stdout empty
     if universal:
         ok = gentor.verify_identity_universal(G, k, conjugators)
-        print("mode=universal")
+        mode = "mode=universal"
     else:
         ok = gentor.verify_identity_sampled(G, k, conjugators, samples, seed)
-        print(f"mode=sampled samples={samples} seed={seed}")
+        mode = f"mode=sampled samples={samples} seed={seed}"
+    print(f"inner_exponent={k} conjugators={len(conjugators)} degree={k * len(conjugators)}")
+    print(mode)
     print(f"verified={str(ok).lower()}")
     if not ok:
         raise TheoremViolationError("constructed positive identity failed verification")

@@ -24,9 +24,9 @@ from math import lcm
 from typing import NamedTuple
 
 from .errors import GroupInputError
-from .gentor import _verify_product, conjugate, power
+from .gentor import (_UNSET, _verify_product, conjugate, labeled_transversal,
+                     order_mod_translation, power)
 from .intlin import IntMatrix, cokernel_structure, smith_normal_form, solve_integer_linear
-from .words import run_word
 
 
 class ExtElement(NamedTuple):
@@ -198,7 +198,7 @@ class ExtensionGroup:
         self.name = name
         self.generators = spec.generator_names
         self._ab = None
-        self._torsion = None
+        self._torsion = _UNSET
 
     # -- element arithmetic -------------------------------------------------
 
@@ -217,6 +217,8 @@ class ExtensionGroup:
 
     conj = conjugate
     pow = power
+    labeled_transversal = labeled_transversal
+    order_mod_translation = order_mod_translation
 
     def q_inverse(self, q: int) -> int:
         return self.spec.q_table[q].index(0)
@@ -236,37 +238,13 @@ class ExtensionGroup:
     def translation_index(self) -> int:
         return self.spec.q_size
 
-    def order_mod_translation(self, g: ExtElement) -> int:
-        return self.q_order(g.q)
-
     def holonomy_exponent(self) -> int:
         return lcm(*(self.q_order(q) for q in range(self.spec.q_size)))
 
     def transversal(self):
+        """The zero section (q, 0), one per q; needs no generators."""
         zero = (0,) * self.spec.n
         return [ExtElement(q, zero) for q in range(self.spec.q_size)]
-
-    def labeled_transversal(self):
-        """Coset representatives of the lattice, as (word, element) pairs.
-
-        Built by breadth-first search over Q through the generator images,
-        so the words are honest products of named generators.  Requires the
-        generators to cover every coset.
-        """
-        reps = {0: ((), self.identity())}
-        queue = [0]
-        while queue:
-            q = queue.pop(0)
-            word, elem = reps[q]
-            for name, gen in self.generators:
-                nq = self.spec.q_table[q][gen.q]
-                if nq not in reps:
-                    reps[nq] = (word + (name,), self.mul(elem, gen))
-                    queue.append(nq)
-        if len(reps) != self.spec.q_size:
-            raise GroupInputError("generators do not reach every coset of the lattice")
-        # dict insertion order is the BFS discovery order
-        return [(_format_run(word), elem) for word, elem in reps.values()]
 
     def abelianization(self):
         if self._ab is None:
@@ -288,7 +266,7 @@ class ExtensionGroup:
         lattice part at a = e_i minus c_q.  A torsion element exists exactly
         when N_q x = -c_q has an integer solution.
         """
-        if self._torsion is None:
+        if self._torsion is _UNSET:
             self._torsion = self._find_torsion()
         return self._torsion
 
@@ -338,16 +316,6 @@ class ExtensionGroup:
 
 def _basis(n: int) -> list:
     return [tuple(int(i == j) for j in range(n)) for i in range(n)]
-
-
-def _format_run(word) -> str:
-    runs = []
-    for name in word:
-        if runs and runs[-1][0] == name:
-            runs[-1][1] += 1
-        else:
-            runs.append([name, 1])
-    return run_word([(name, count) for name, count in runs])
 
 
 def direct_product(spec1: ExtensionSpec, spec2: ExtensionSpec) -> ExtensionSpec:

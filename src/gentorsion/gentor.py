@@ -15,12 +15,15 @@ Backends are duck-typed; this is their whole contract.
   ``generators`` sequence of (name, element) pairs; and ``conj``/``pow``,
   bound as ``conj = conjugate`` and ``pow = power`` (shared bodies below).
 * Lattice capabilities, for G abelian-by-finite with translation
-  subgroup A: ``abelianization()`` (an ``AbelianStructure`` of G^ab) and
-  ``ab_vector(g)``; ``coset(g)``, a hashable label of gA; the integers
-  ``translation_index()`` = [G:A], ``order_mod_translation(g)`` = order
-  of gA and ``holonomy_exponent()`` = exp(G/A); ``labeled_transversal()``,
-  (word, element) pairs, one per coset of A, starting with the identity
-  "1", and ``transversal()``, one element per coset.
+  subgroup A.  A backend writes five: ``abelianization()`` (an
+  ``AbelianStructure`` of G^ab) and ``ab_vector(g)``; ``coset(g)``, a
+  hashable label of gA; and the integers ``translation_index()`` = [G:A]
+  and ``holonomy_exponent()`` = exp(G/A).  Three more have shared bodies
+  below, derived from ``coset`` and bound like ``conj``:
+  ``labeled_transversal()``, (word, element) pairs, one per coset of A,
+  starting with the identity "1"; ``transversal()``, its elements; and
+  ``order_mod_translation(g)``, the order of gA.  A backend may write its
+  own ``transversal()`` when it has representatives without generators.
 * Optional: ``verify_positive_identity_all(k, conjugators)`` (exact
   check over all of G); ``positive_identity()``, a (k, conjugators) pair
   with (g^k)^{x_1} ... (g^k)^{x_m} = 1 for every g, which
@@ -35,11 +38,16 @@ BackendCapabilityError.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from math import lcm
 
 from .errors import BackendCapabilityError, GroupInputError, TheoremViolationError
 from .intlin import IntMatrix, cokernel_structure
-from .words import Comm, Conj, Gen, Ident, Mul, Pow, parse_word, print_word
+from .words import Gen, Ident, Mul, Pow, parse_word, print_word, run_word
+
+
+# a cached answer not yet computed, where None is itself an answer
+_UNSET = object()
 
 
 def _backend_name(G) -> str:
@@ -74,6 +82,57 @@ def power(G, g, k: int):
         if k:
             g = G.mul(g, g)
     return out
+
+
+# -- cosets of the translation subgroup ------------------------------------
+
+
+def labeled_transversal(G):
+    """Coset representatives of A as (word, element) pairs, from ("1", 1).
+
+    A breadth-first walk from the identity through ``G.generators``, keyed
+    on ``coset``: the first product of generators to reach a coset
+    represents it, so the words are honest products of named generators.
+    Computed once per group object.  Requires the generators to reach
+    every coset.
+    """
+    cached = getattr(G, "_transversal", None)
+    if cached is not None:
+        return cached
+    one = G.identity()
+    seen = {G.coset(one)}
+    walk = [((), one)]
+    for word, e in walk:  # entries appended here are walked too
+        for name, gen in G.generators:
+            x = G.mul(e, gen)
+            label = G.coset(x)
+            if label not in seen:
+                seen.add(label)
+                walk.append((word + (name,), x))
+    if len(walk) != G.translation_index():
+        raise GroupInputError("generators do not reach every coset of the lattice")
+    G._transversal = tuple((_format_run(word), e) for word, e in walk)
+    return G._transversal
+
+
+def transversal(G):
+    """One element per coset of A, in ``labeled_transversal`` order."""
+    return [e for _, e in labeled_transversal(G)]
+
+
+def order_mod_translation(G, g) -> int:
+    """Order of gA in G/A: the least n >= 1 with coset(g^n) = coset(1)."""
+    one = G.coset(G.identity())
+    n, x = 1, g
+    while G.coset(x) != one:
+        x = G.mul(x, g)
+        n += 1
+    return n
+
+
+def _format_run(word) -> str:
+    """Generator names as a word with runs collapsed: x, x, y -> "x^2*y"."""
+    return run_word([(name, len(list(run))) for name, run in groupby(word)])
 
 
 # -- seeded randomness ----------------------------------------------------
@@ -291,6 +350,8 @@ def verify_identity_universal(G, k: int, conjugators) -> bool:
 
 def verify_identity_sampled(G, k: int, conjugators, samples: int, seed: int) -> bool:
     """Evaluate the identity on seeded pseudorandom elements."""
+    if samples < 1:
+        raise GroupInputError(f"samples must be >= 1, got {samples}")
     rng = SplitMix64(seed)
     bases = (G.pow(random_word_element(G, rng), k) for _ in range(samples))
     return _verify_product(G, bases, conjugators)
@@ -423,14 +484,12 @@ class DirectProductGroup:
         self.right = right
         self.name = name or f"{_backend_name(left)} x {_backend_name(right)}"
         taken = {n for n, _ in left.generators}
-        self._right_names = {}
         gens = [(n, (e, right.identity())) for n, e in left.generators]
         for n, e in right.generators:
             nn = n
             while nn in taken:
                 nn += "2"
             taken.add(nn)
-            self._right_names[n] = nn
             gens.append((nn, (left.identity(), e)))
         self.generators = tuple(gens)
         self._ab = None
@@ -446,6 +505,9 @@ class DirectProductGroup:
 
     conj = conjugate
     pow = power
+    labeled_transversal = labeled_transversal
+    transversal = transversal
+    order_mod_translation = order_mod_translation
 
     def abelianization(self):
         if self._ab is None:
@@ -468,50 +530,8 @@ class DirectProductGroup:
     def translation_index(self) -> int:
         return self.left.translation_index() * self.right.translation_index()
 
-    def order_mod_translation(self, g) -> int:
-        return lcm(
-            self.left.order_mod_translation(g[0]),
-            self.right.order_mod_translation(g[1]),
-        )
-
     def holonomy_exponent(self) -> int:
         return lcm(self.left.holonomy_exponent(), self.right.holonomy_exponent())
 
     def is_torsion_free(self) -> bool:
         return self.left.is_torsion_free() and self.right.is_torsion_free()
-
-    def _rename_right_word(self, w: str) -> str:
-        if w == "1" or not self._right_names:
-            return w
-        return print_word(_rename(parse_word(w), self._right_names))
-
-    def labeled_transversal(self):
-        out = []
-        for lw, ls in self.left.labeled_transversal():
-            for rw, rs in self.right.labeled_transversal():
-                rw = self._rename_right_word(rw)
-                if lw == "1":
-                    word = rw
-                elif rw == "1":
-                    word = lw
-                else:
-                    word = f"{lw}*{rw}"
-                out.append((word, (ls, rs)))
-        return out
-
-    def transversal(self):
-        return [s for _, s in self.labeled_transversal()]
-
-
-def _rename(node, mapping):
-    if isinstance(node, Gen):
-        return Gen(mapping.get(node.name, node.name))
-    if isinstance(node, Ident):
-        return node
-    if isinstance(node, Mul):
-        return Mul(tuple(_rename(f, mapping) for f in node.factors))
-    if isinstance(node, Pow):
-        return Pow(_rename(node.base, mapping), node.exp)
-    if isinstance(node, Conj):
-        return Conj(_rename(node.base, mapping), _rename(node.by, mapping))
-    return Comm(_rename(node.left, mapping), _rename(node.right, mapping))

@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 from math import gcd, lcm
 
 from .errors import GroupInputError, TheoremViolationError
-from .gentor import conjugate, power
+from .gentor import (_UNSET, conjugate, labeled_transversal, order_mod_translation, power,
+                     transversal)
 from .intlin import IntMatrix, cokernel_structure, smith_normal_form, solve_integer_linear
-from .words import run_word
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ class MetabGroup:
             ("y", self._make(0, 1, self._zero)),
         )
         self._ab = None
-        self._torsion = None
+        self._torsion = _UNSET
         self._center = None
 
     # -- ring helpers (vectors over the monomial basis X^i Y^j) -------------
@@ -280,6 +280,9 @@ class MetabGroup:
 
     conj = conjugate
     pow = power
+    labeled_transversal = labeled_transversal
+    transversal = transversal
+    order_mod_translation = order_mod_translation
 
     def collect(self, word) -> MetabElement:
         """Normal form of a word given as (generator, exponent) pairs.
@@ -302,23 +305,8 @@ class MetabGroup:
     def translation_index(self) -> int:
         return self.N
 
-    def order_mod_translation(self, g: MetabElement) -> int:
-        a = g.alpha % self.qn
-        b = g.beta % self.qm
-        return lcm(self.qn // gcd(self.qn, a), self.qm // gcd(self.qm, b))
-
     def holonomy_exponent(self) -> int:
         return lcm(self.qn, self.qm)
-
-    def transversal(self):
-        return [elem for _, elem in self.labeled_transversal()]
-
-    def labeled_transversal(self):
-        out = []
-        for i in range(self.qn):
-            for j in range(self.qm):
-                out.append((run_word([("x", i), ("y", j)]), self._make(i, j, self._zero)))
-        return out
 
     def abelianization(self):
         if self._ab is None:
@@ -373,17 +361,15 @@ class MetabGroup:
         same order and residues k (a, b), so one residue per line of that
         F_p^2 suffices: (s, k s) for k < p and (0, s), with s = N/p.
         """
-        if self._torsion is None:
-            self._torsion = self._find_torsion()
-        return self._torsion == "free"
+        return self.torsion_witness() is None
 
     def torsion_witness(self):
-        if self._torsion is None:
+        if self._torsion is _UNSET:
             self._torsion = self._find_torsion()
-        return None if self._torsion == "free" else self._torsion
+        return self._torsion
 
     def _find_torsion(self):
-        """An element of finite order, or "free"; see ``is_torsion_free``.
+        """An element of finite order, or None; see ``is_torsion_free``.
 
         For g = x^a y^b c^v with (a, b) one of the p + 1 line residues,
         g^p = c^{m v + c} with m, c tracked symbolically, and g has finite
@@ -394,7 +380,7 @@ class MetabGroup:
             sol = self._solve_in_module(m, c)
             if sol is not None:
                 return self._make(a, b, sol)
-        return "free"
+        return None
 
     def has_trivial_center(self) -> bool:
         """True iff the center is trivial.

@@ -6,7 +6,7 @@ import pytest
 
 from gentorsion.cli import DEFAULT_SEED, resolve_group, run
 from gentorsion.extgroup import ExtElement, spec_to_dict
-from gentorsion.catalog import build_promislow
+from gentorsion.catalog import build_dihedral_infinite, build_promislow
 from gentorsion.words import eval_word, parse_word
 
 
@@ -199,6 +199,39 @@ def test_identity_gamma(capsys):
     code, _, err = invoke(capsys, "identity", "gamma", "--universal")
     assert code == 2
     assert "verify_positive_identity_all" in err
+
+
+@pytest.mark.parametrize("group", ["gamma", "K:3,1,1"])
+def test_identity_universal_without_capability_prints_nothing(capsys, group):
+    # the capability is checked before any output line
+    code, out, err = invoke(capsys, "identity", group, "--universal")
+    assert code == 2
+    assert out == ""
+    assert "verify_positive_identity_all" in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_identity_rejects_nonpositive_samples(capsys, samples):
+    code, out, err = invoke(capsys, "identity", "K:2,1,1", "--samples", samples)
+    assert code == 2
+    assert out == ""
+    assert "samples must be >= 1" in err
+
+
+def test_identity_spec_without_full_generators(tmp_path, capsys):
+    # the generators of this D_inf spec miss the coset of b; the universal
+    # identity runs over the zero section and needs none
+    data = spec_to_dict(build_dihedral_infinite())
+    del data["generators"]["b"]
+    path = tmp_path / "dinf_a.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = invoke(capsys, "identity", f"spec:{path}")
+    assert code == 0
+    assert "mode=universal" in out
+    assert "verified=true" in out
+    code, _, err = invoke(capsys, "witness", f"spec:{path}", "a")
+    assert code == 2
+    assert "generators do not reach every coset" in err
 
 
 def test_seed_precedence(capsys, monkeypatch):

@@ -343,7 +343,10 @@ def test_product_generator_renaming(promislow):
     g = gens(G)
     assert g["x2"] == (promislow.identity(), gens(promislow)["x"])
     words = [w for w, _ in G.labeled_transversal()]
-    assert words[:4] == ["1", "x2", "y2", "x2*y2"]
+    assert words == [
+        "1", "x", "y", "x2", "y2", "x*y", "x*x2", "x*y2", "y*x2", "y*y2", "x2*y2",
+        "x*y*x2", "x*y*y2", "x*x2*y2", "y*x2*y2", "x*y*x2*y2",
+    ]
 
 
 def test_product_witness(promislow):

@@ -281,7 +281,7 @@ def test_translation_capabilities(k211):
 
 def test_transversal(k211):
     words = [w for w, _ in k211.labeled_transversal()]
-    assert words == ["1", "y", "x", "x*y"]
+    assert words == ["1", "x", "y", "x*y"]
     assert len(build_K(2, 1, 2).transversal()) == 8
     seen = {(e.alpha, e.beta) for e in k211.transversal()}
     assert len(seen) == 4

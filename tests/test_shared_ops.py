@@ -1,20 +1,25 @@
-"""The shared ``conjugate``/``power``, the product-of-conjugates check and
-the coset-based certificates.
+"""The shared ``conjugate``/``power``, the product-of-conjugates check,
+the coset walk and the coset-based certificates.
 
 Every backend binds ``conj = conjugate`` and ``pow = power`` from
 ``gentor``; the group laws below hold for each of them, and ``power``
 makes the advertised number of multiplications.  ``_verify_product``
-agrees with multiplying the conjugates out.  ``witness_construct``
-walks the labeled transversal once and skips covered cosets by their
-``coset`` labels; its certificates must have length [G:A] with one
-conjugator per coset of A whenever G^ab is finite or g lies in A.
+agrees with multiplying the conjugates out.  Every lattice backend binds
+the shared ``labeled_transversal`` and ``order_mod_translation``, built
+from ``coset`` alone; they are checked against each backend's own
+quotient formulas.  ``witness_construct`` walks the labeled transversal
+once and skips covered cosets by their ``coset`` labels; its
+certificates must have length [G:A] with one conjugator per coset of A
+whenever G^ab is finite or g lies in A.
 """
 
 import functools
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gentorsion import extgroup, metab
 from gentorsion.catalog import (
     FreeAbelExtInput,
     build_casolo_gamma,
@@ -24,20 +29,26 @@ from gentorsion.catalog import (
     build_promislow,
     build_wreath,
 )
-from gentorsion.extgroup import ExtensionGroup, direct_product
+from gentorsion.errors import GroupInputError
+from gentorsion.extgroup import ExtensionGroup, direct_product, spec_from_dict, spec_to_dict
 from gentorsion.gentor import (
     DirectProductGroup,
     SplitMix64,
     _verify_product,
     is_generalized_torsion,
+    labeled_transversal,
     positive_identity_witnesses,
     power,
+    random_word_element,
+    verify_identity_sampled,
     witness_construct,
 )
-from gentorsion.metab import build_K
+from gentorsion.metab import MetabGroup, build_K
 from gentorsion.words import eval_word, parse_word
 
 C3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+S3 = [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 4, 0, 5, 1, 3],
+      [3, 5, 1, 4, 0, 2], [4, 2, 5, 0, 3, 1], [5, 3, 4, 1, 2, 0]]
 
 
 def promislow():
@@ -243,3 +254,124 @@ def test_certificate_runs_once_over_the_cosets(name):
         outside += G.coset(g) != one
     # the g^i * s construction is exercised wherever it can be
     assert (outside == 0) == (name in ALL_TORSION_IN_A)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_sampled_identity_needs_a_sample(samples):
+    G = backend("K:2,1,1")
+    k, xs = positive_identity_witnesses(G)
+    with pytest.raises(GroupInputError):
+        verify_identity_sampled(G, k, xs, samples, 1)
+
+
+# -- the shared coset walk ----------------------------------------------------
+
+
+def walk_backends():
+    """Fresh lattice backends: the certificate fixtures and a few more."""
+    out = lattice_backends()
+    out["K:2,1,2"] = build_K(2, 1, 2)
+    out["wreathS3"] = ExtensionGroup(build_wreath(S3), name="wreathS3")
+    out["promislow x promislow"] = DirectProductGroup(promislow(), promislow())
+    return out
+
+
+WALK = walk_backends()
+
+
+class CountingBackend(MulCounter):
+    """MulCounter that forwards every other attribute to the backend."""
+
+    def __getattr__(self, attr):
+        return getattr(self.G, attr)
+
+
+def order_oracle(G, g):
+    # the per-backend formulas the shared order_mod_translation replaced
+    if isinstance(G, DirectProductGroup):
+        return lcm(order_oracle(G.left, g[0]), order_oracle(G.right, g[1]))
+    if isinstance(G, MetabGroup):
+        a, b = g.alpha % G.qn, g.beta % G.qm
+        return lcm(G.qn // gcd(G.qn, a), G.qm // gcd(G.qm, b))
+    return G.q_order(g.q)
+
+
+@pytest.mark.parametrize("name", WALK)
+def test_coset_walk_covers_each_coset_once(name):
+    G = WALK[name]
+    pairs = G.labeled_transversal()
+    assert pairs[0] == ("1", G.identity())
+    assert len(pairs) == G.translation_index()
+    assert len({G.coset(e) for _, e in pairs}) == len(pairs)
+    for word, e in pairs:
+        assert eval_word(G, parse_word(word)) == e, word
+    reps = G.transversal()
+    assert {G.coset(e) for e in reps} == {G.coset(e) for _, e in pairs}
+    if not isinstance(G, ExtensionGroup):  # which keeps its zero section
+        assert reps == [e for _, e in pairs]
+
+
+@pytest.mark.parametrize("name", WALK)
+def test_coset_walk_runs_once_per_group(name):
+    counter = CountingBackend(walk_backends()[name])
+    first = labeled_transversal(counter)
+    walked = counter.muls
+    assert walked > 0
+    assert labeled_transversal(counter) is first
+    assert counter.muls == walked
+
+
+@pytest.mark.parametrize("name", WALK)
+def test_order_mod_translation_matches_the_formulas(name):
+    G = WALK[name]
+    rng = SplitMix64(977 + len(name))
+    elements = [G.identity()] + [e for _, e in G.labeled_transversal()]
+    elements += [random_word_element(G, rng) for _ in range(30)]
+    for g in elements:
+        assert G.order_mod_translation(g) == order_oracle(G, g)
+
+
+def dinf_without_b():
+    data = spec_to_dict(build_dihedral_infinite())
+    del data["generators"]["b"]
+    return ExtensionGroup(spec_from_dict(data), name="dinf without b")
+
+
+def test_coset_walk_needs_generators_for_every_coset():
+    G = dinf_without_b()
+    K = build_K(2, 1, 1)
+    K.generators = K.generators[:1]  # x alone reaches 2 of the 4 cosets
+    for H in (G, K, DirectProductGroup(promislow(), dinf_without_b())):
+        with pytest.raises(GroupInputError, match="do not reach every coset"):
+            labeled_transversal(H)
+    # the zero section of an extension group needs no generators
+    assert [e.q for e in G.transversal()] == [0, 1]
+    assert G.verify_positive_identity_all(2, G.transversal())
+
+
+TORSION_CACHE = {
+    "promislow": (promislow, extgroup, True),
+    "dinf": (lambda: ExtensionGroup(build_dihedral_infinite(), name="dinf"), extgroup, False),
+    "K:2,1,1": (lambda: build_K(2, 1, 1), metab, True),
+}
+
+
+@pytest.mark.parametrize("name", TORSION_CACHE)
+def test_torsion_answer_is_cached(name, monkeypatch):
+    # a torsion-free answer (no witness) is cached like a witness is
+    factory, module, torsion_free = TORSION_CACHE[name]
+    G = factory()
+    solves = []
+    original = module.solve_integer_linear
+
+    def counting_solve(*args):
+        solves.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, "solve_integer_linear", counting_solve)
+    assert G.is_torsion_free() == torsion_free
+    assert solves
+    first = len(solves)
+    assert G.is_torsion_free() == torsion_free
+    assert (G.torsion_witness() is None) == torsion_free
+    assert len(solves) == first
