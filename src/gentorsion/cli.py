@@ -165,22 +165,26 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    if not args.search and (args.max_k is not None or args.radius is not None):
+        raise GroupInputError("--max-k and --radius bound a search; they need --search")
     G = resolve_group(args.group)
     g = eval_word(G, parse_word(args.word))
     if args.search:
-        cert = gentor.gen_order_search(G, g, max_k=args.max_k, radius=args.radius)
+        max_k = 8 if args.max_k is None else args.max_k
+        radius = 3 if args.radius is None else args.radius
+        cert = gentor.gen_order_search(G, g, max_k=max_k, radius=radius)
         if cert is None:
             order = G.abelianization().order_of(G.ab_vector(g))
             if order is None:
                 reason = "not_generalized_torsion"
                 note = "no product of conjugates of this element is 1, at any length"
-            elif args.max_k < order:
+            elif max_k < order:
                 reason = "below_pi_order"
                 note = (f"every identity has length divisible by pi_order={order}, "
-                        f"so none has length <= {args.max_k} for any conjugators")
+                        f"so none has length <= {max_k} for any conjugators")
             else:
                 reason = "exhausted"
-                note = f"no identity of length <= {args.max_k} over the radius-{args.radius} ball"
+                note = f"no identity of length <= {max_k} over the radius-{radius} ball"
             print("result=absent")
             print(f"reason={reason}")
             print(f"note={note}")
@@ -212,6 +216,8 @@ def _cmd_identity(args) -> int:
     universal = args.universal or (
         args.samples is None and hasattr(G, "verify_positive_identity_all")
     )
+    if universal and (args.samples is not None or args.seed is not None):
+        raise GroupInputError("--samples and --seed apply to sampled runs; this run is universal")
     if not universal:
         samples = args.samples if args.samples is not None else 200
         seed = _seed(args)
@@ -269,8 +275,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("group")
     p.add_argument("word")
     p.add_argument("--search", action="store_true", help="bounded minimal-order search")
-    p.add_argument("--max-k", type=int, default=8, dest="max_k")
-    p.add_argument("--radius", type=int, default=3)
+    p.add_argument("--max-k", type=int, default=None, dest="max_k", help="with --search (default 8)")
+    p.add_argument("--radius", type=int, default=None, help="with --search (default 3)")
     p.set_defaults(fn=_cmd_witness)
 
     p = sub.add_parser("exponent", help="generalized exponent bounds")

@@ -26,12 +26,14 @@ Ring elements are plain integer tuples of length d = p^{n+m}, indexed by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, lcm
+from math import lcm
 
 from .errors import GroupInputError, TheoremViolationError
 from .gentor import (_UNSET, conjugate, labeled_transversal, order_mod_translation, power,
                      transversal)
-from .intlin import IntMatrix, cokernel_structure, smith_normal_form, solve_integer_linear
+from .intlin import IntMatrix, cokernel_structure
+
+SIZE_CAP = 256  # largest accepted N = p^(n+m)
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,7 @@ def _is_prime(p: int) -> bool:
 class MetabGroup:
     """The group K(p^n, p^m) with exact normal-form arithmetic."""
 
-    def __init__(self, p: int, n: int, m: int, size_cap: int = 256):
+    def __init__(self, p: int, n: int, m: int):
         if not _is_prime(p):
             raise GroupInputError(f"p must be prime, got {p}")
         if n < 1 or m < 1:
@@ -66,8 +68,8 @@ class MetabGroup:
         self.qn = p**n
         self.qm = p**m
         self.N = p ** (n + m)
-        if self.N > size_cap:
-            raise GroupInputError(f"p^(n+m) = {self.N} exceeds the size cap {size_cap}")
+        if self.N > SIZE_CAP:
+            raise GroupInputError(f"p^(n+m) = {self.N} exceeds the size cap {SIZE_CAP}")
         self.d = self.qn * self.qm
         self.key = (p, n, m)
         self.name = f"K:{p},{n},{m}"
@@ -78,6 +80,7 @@ class MetabGroup:
         self.g3 = self._neg(self._relator_tail("x"))
         self.g4 = self._neg(self._relator_tail("y"))
 
+        self._relations = self._consistency_vectors()
         self.module = cokernel_structure(self._consistency_rows())
         if self.module.invariant_factors:
             raise TheoremViolationError(
@@ -96,7 +99,6 @@ class MetabGroup:
         )
         self._ab = None
         self._torsion = _UNSET
-        self._center = None
 
     # -- ring helpers (vectors over the monomial basis X^i Y^j) -------------
 
@@ -147,14 +149,6 @@ class MetabGroup:
         out = [0] * self.d
         out[(i % self.qn) * self.qm + (j % self.qm)] = 1
         return tuple(out)
-
-    def _mult_matrix(self, r) -> IntMatrix:
-        """Matrix of ring multiplication v -> r * v (columns are shifts)."""
-        cols = []
-        for i in range(self.qn):
-            for j in range(self.qm):
-                cols.append(self._shift(r, i, j))
-        return IntMatrix([[cols[c][row] for c in range(self.d)] for row in range(self.d)], cols=self.d)
 
     # -- collection in the cover (no power folding; _make folds) ----------
 
@@ -218,14 +212,13 @@ class MetabGroup:
         assert (a, b) == (base[0] * steps, base[1] * steps)
         return w
 
-    def _consistency_rows(self) -> IntMatrix:
+    def _consistency_vectors(self):
         """Module generators of the relation submodule S.
 
         For each power relation (x^N = c^{g3}, y^N = c^{g4}) and each
         generator u, conjugating the left side letter by letter gives
         (x^u)^N = x^N c^{w}; substituting the relation on both sides forces
-        g + w - g * U to die in M.  S is the closure of these four vectors
-        under the X and Y shifts.
+        g + w - g * U to die in M.
         """
         vectors = []
         x, y = (1, 0, self._zero), (0, 1, self._zero)
@@ -235,11 +228,12 @@ class MetabGroup:
                 assert (a % self.N, b % self.N) == (0, 0)
                 vec = self._add(self._add(g, w), self._neg(self._shift(g, ui, uj)))
                 vectors.append(vec)
-        rows = []
-        for vec in vectors:
-            for i in range(self.qn):
-                for j in range(self.qm):
-                    rows.append(list(self._shift(vec, i, j)))
+        return tuple(vectors)
+
+    def _consistency_rows(self) -> IntMatrix:
+        """S as rows: the closure of the consistency vectors under the X and Y shifts."""
+        rows = [list(self._shift(vec, i, j))
+                for vec in self._relations for i in range(self.qn) for j in range(self.qm)]
         return IntMatrix(rows, cols=self.d)
 
     def in_relation_submodule(self, v) -> bool:
@@ -321,38 +315,13 @@ class MetabGroup:
 
     # -- torsion and center -------------------------------------------------
 
-    def _residue_power(self, a: int, b: int):
-        """(m, c) with (x^a y^b c^v)^o = c^{m v + c} for every v.
-
-        o is the order of (a, b) in C_N x C_N; m and c are ring vectors.
-        Conjugation by x^a y^b multiplies v by X^a Y^b, so m is the sum of
-        X^{ia} Y^{ib} over i < o, and c is the commutator part of
-        (x^a y^b)^o, determined modulo S.
-        """
-        o = lcm(self.N // gcd(self.N, a), self.N // gcd(self.N, b))
-        m = [0] * self.d
-        for i in range(o):
-            m[(i * a % self.qn) * self.qm + i * b % self.qm] += 1
-        c = self._make(*self._raw_pow((a, b, self._zero), o)).raw
-        return tuple(m), c
-
-    def _solve_in_module(self, m, c):
-        """A ring vector v with m v + c in S, or None if there is none.
-
-        Solved in the free canonical coordinates of M, which vanish
-        exactly on S: (to_canonical @ mult(m)) v = -to_canonical c, a
-        free_rank x d system.
-        """
-        proj = self.module.to_canonical
-        return solve_integer_linear(proj @ self._mult_matrix(m), self._neg(proj.mat_vec(c)))
-
     def _torsion_residues(self):
         """One exponent residue per line of (N/p) Z_N^2, viewed as F_p^2."""
         s = self.N // self.p
         return [(s, k * s) for k in range(self.p)] + [(0, s)]
 
     def is_torsion_free(self) -> bool:
-        """Exact torsion test with p + 1 small solves.
+        """Exact torsion test with p + 1 divisibility tests.
 
         A torsion element has a power of prime order q.  M is torsion-free,
         so that power lies outside M and has a nonzero residue (a, b) in
@@ -364,22 +333,29 @@ class MetabGroup:
         return self.torsion_witness() is None
 
     def torsion_witness(self):
+        """An element of order p, or None when G is torsion-free.
+
+        Every line residue (a, b) is a multiple of p^n in a and of p^m in
+        b, so X^a = Y^b = 1 and x^a y^b acts trivially on M.  Hence
+        (x^a y^b c^v)^p = c^{p v + c}, where c^c = (x^a y^b)^p.  In M's
+        canonical coordinates, plain integers as M is torsion-free, some v
+        puts p v + c into S exactly when p divides every coordinate of c.
+        """
         if self._torsion is _UNSET:
             self._torsion = self._find_torsion()
         return self._torsion
 
     def _find_torsion(self):
-        """An element of finite order, or None; see ``is_torsion_free``.
-
-        For g = x^a y^b c^v with (a, b) one of the p + 1 line residues,
-        g^p = c^{m v + c} with m, c tracked symbolically, and g has finite
-        order exactly when m v + c lies in S for some v.
-        """
         for a, b in self._torsion_residues():
-            m, c = self._residue_power(a, b)
-            sol = self._solve_in_module(m, c)
-            if sol is not None:
-                return self._make(a, b, sol)
+            c = self.pow(self._make(a, b, self._zero), self.p).coords
+            if all(x % self.p == 0 for x in c):
+                w = self._make(a, b, self.module.lift([-x // self.p for x in c]))
+                if self.pow(w, self.p) != self.identity():
+                    raise TheoremViolationError(
+                        f"torsion witness of K({self.qn},{self.qm}) at residue {(a, b)} "
+                        f"does not have order {self.p}"
+                    )
+                return w
         return None
 
     def has_trivial_center(self) -> bool:
@@ -389,29 +365,19 @@ class MetabGroup:
         abelian), and A/M is finite.  If A is torsion-free, a nontrivial
         central z has a nontrivial power in M, which is fixed by both
         shifts; conversely every fixed vector of M is central.  So the
-        center is trivial exactly when the fixed sublattice of M is zero,
-        which is a rank test.  A is torsion-free because G is; that is
-        checked with ``is_torsion_free`` and its failure is a theorem
-        violation.
+        center is trivial exactly when M has no nonzero fixed vector.
+        Q[C_{p^n} x C_{p^m}] is semisimple and the fixed vectors of M (x) Q
+        are its trivial-character component, which survives exactly when
+        the augmentation (coefficient sum) vanishes on S.  Shifts keep a
+        vector's sum, so the consistency vectors decide it.  A is
+        torsion-free because G is; that is checked with ``is_torsion_free``
+        and its failure is a theorem violation.
         """
-        if self._center is None:
-            self._center = self._check_center()
-        return self._center
-
-    def _check_center(self) -> bool:
         if not self.is_torsion_free():
             raise TheoremViolationError(
                 f"K({self.qn},{self.qm}) has torsion; the center test needs a torsion-free group"
             )
-        ident = IntMatrix.identity(self.d)
-        proj = self.module.to_canonical
-        # v is fixed in M iff (X - 1) v and (Y - 1) v lie in S; the kernel
-        # always contains S, of rank d - free_rank
-        bx = proj @ (self._mult_matrix(self.monomial(1, 0)) - ident)
-        by = proj @ (self._mult_matrix(self.monomial(0, 1)) - ident)
-        diag = smith_normal_form(bx.vstack(by)).diagonal()
-        kernel_rank = self.d - sum(1 for dd in diag if dd != 0)
-        return kernel_rank == self.d - self.module.free_rank
+        return any(sum(vec) for vec in self._relations)
 
 
 def build_K(p: int, n: int, m: int) -> MetabGroup:

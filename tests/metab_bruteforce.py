@@ -5,8 +5,13 @@ d x 5d Smith solve per nonzero exponent residue for torsion, and one
 solve per translation residue for the centre.  They need no theory beyond
 "g has finite order iff its power landing in M vanishes there" and
 "z is central iff it commutes with x and y", so the tests compare the
-library's p + 1 line argument and fixed-sublattice rank test against them.
+library's p + 1 divisibility tests and augmentation test against them.
 Cost grows like N^2 Smith forms; keep them to N <= 16.
+
+``center_rank_test`` is the library's former centre check: the rank of
+the fixed sublattice of M, from the ring-multiplication matrices of
+``mult_matrix``.  It is the oracle for centre answers on injected
+relation modules, where no group presentation backs the residue loops.
 
 The oracles multiply with their own ``affine_mul``, written apart from
 the library's collection code, so they do not share a multiplier with the
@@ -52,6 +57,27 @@ def residue_power(G, a, b):
     return m, c
 
 
+def mult_matrix(G, r) -> IntMatrix:
+    """Matrix of ring multiplication v -> r * v (columns are shifts)."""
+    cols = [G._shift(r, i, j) for i in range(G.qn) for j in range(G.qm)]
+    return IntMatrix([[cols[c][row] for c in range(G.d)] for row in range(G.d)], cols=G.d)
+
+
+def center_rank_test(G) -> bool:
+    """True iff M has no nonzero vector fixed by both shifts (M torsion-free).
+
+    v is fixed in M iff (X - 1) v and (Y - 1) v lie in S; the kernel of
+    that system always contains S, of rank d - free_rank.
+    """
+    ident = IntMatrix.identity(G.d)
+    proj = G.module.to_canonical
+    bx = proj @ (mult_matrix(G, G.monomial(1, 0)) - ident)
+    by = proj @ (mult_matrix(G, G.monomial(0, 1)) - ident)
+    diag = smith_normal_form(bx.vstack(by)).diagonal()
+    kernel_rank = G.d - sum(1 for dd in diag if dd != 0)
+    return kernel_rank == G.d - G.module.free_rank
+
+
 def relation_columns(G) -> IntMatrix:
     """S^T: the generators of the relation submodule S as columns."""
     return G._consistency_rows().transpose()
@@ -63,7 +89,7 @@ def stacked_solve(G, m, rhs, srows):
     ``srows`` is ``relation_columns(G)``.  Returns the v part of the
     solution, or None.
     """
-    system = G._mult_matrix(m)
+    system = mult_matrix(G, m)
     stacked = IntMatrix(
         [list(system.row(i)) + list(srows.row(i)) for i in range(G.d)],
         cols=G.d + srows.cols,
@@ -92,21 +118,13 @@ def _affine_concrete(G, g):
 
 def check_center(G) -> bool:
     """True iff the centre is trivial: rank test, then every translation residue."""
+    if not center_rank_test(G):  # the (0, 0) residue: a fixed vector of M
+        return False
     unit = G.monomial(0, 0)
     ident = IntMatrix.identity(G.d)
     x = G.generators[0][1]
     y = G.generators[1][1]
     srows = relation_columns(G)
-    s_rank = G.d - G.module.free_rank
-
-    # fixed sublattice of M under both shifts (the (0,0) residue)
-    proj = G.module.to_canonical
-    bx = proj @ (G._mult_matrix(G.monomial(1, 0)) - ident)
-    by = proj @ (G._mult_matrix(G.monomial(0, 1)) - ident)
-    diag = smith_normal_form(bx.vstack(by)).diagonal()
-    kernel_rank = G.d - sum(1 for dd in diag if dd != 0)
-    if kernel_rank != s_rank:
-        return False
 
     for a in range(0, G.N, G.qn):
         for b in range(0, G.N, G.qm):
@@ -119,7 +137,7 @@ def check_center(G) -> bool:
                 f = affine_mul(G, affine_mul(G, _affine_concrete(G, G.inv(w)), g), _affine_concrete(G, w))
                 fa, fb, m, c = f
                 assert (fa, fb) == (a, b)
-                block = G._mult_matrix(m) - ident
+                block = mult_matrix(G, m) - ident
                 for i in range(G.d):
                     pad_left = list(srows.row(i)) if w is x else [0] * srows.cols
                     pad_right = list(srows.row(i)) if w is y else [0] * srows.cols

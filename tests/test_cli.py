@@ -210,6 +210,28 @@ def test_identity_universal_without_capability_prints_nothing(capsys, group):
     assert "verify_positive_identity_all" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("promislow", "--universal", "--samples", "0"),
+    ("promislow", "--universal", "--seed", "5"),
+    ("K:2,1,1", "--universal", "--samples", "5"),
+    ("promislow", "--seed", "5"),  # universal by default, so the seed would be ignored
+], ids="-".join)
+def test_identity_rejects_sampling_flags_in_universal_mode(capsys, argv):
+    code, out, err = invoke(capsys, "identity", *argv)
+    assert code == 2
+    assert out == ""
+    assert "apply to sampled runs" in err
+
+
+@pytest.mark.parametrize("flags", [("--max-k", "4"), ("--radius", "0"), ("--max-k", "8", "--radius", "3")],
+                         ids="-".join)
+def test_witness_rejects_search_bounds_without_search(capsys, flags):
+    code, out, err = invoke(capsys, "witness", "promislow", "x", *flags)
+    assert code == 2
+    assert out == ""
+    assert "need --search" in err
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_identity_rejects_nonpositive_samples(capsys, samples):
     code, out, err = invoke(capsys, "identity", "K:2,1,1", "--samples", samples)

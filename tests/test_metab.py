@@ -7,6 +7,7 @@ no code with the engine's power-sum collection.  Both are compared on the
 
 import pytest
 
+from gentorsion import metab
 from gentorsion.errors import GroupInputError
 from gentorsion.extgroup import ExtensionGroup
 from gentorsion.catalog import build_promislow
@@ -359,14 +360,15 @@ def test_element_identity_and_ordering(k211):
     assert a == b
 
 
-def test_build_errors():
+def test_build_errors(monkeypatch):
     with pytest.raises(GroupInputError):
         build_K(4, 1, 1)
     with pytest.raises(GroupInputError):
         build_K(2, 0, 1)
     with pytest.raises(GroupInputError):
         build_K(2, 5, 4)
-    assert MetabGroup(2, 5, 4, size_cap=1024).N == 512
+    monkeypatch.setattr(metab, "SIZE_CAP", 1024)
+    assert MetabGroup(2, 5, 4).N == 512
 
 
 def test_cross_group_elements_rejected(k211):

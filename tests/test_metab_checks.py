@@ -1,38 +1,53 @@
 """The exact K(p^n, p^m) torsion and centre checks against the brute force.
 
-``MetabGroup`` decides torsion with one solve per line of (N/p) Z_N^2 in
-M's canonical coordinates, and the centre with one rank test.  The
-oracles in ``metab_bruteforce`` try every residue with stacked d x 5d
-solves; both must give the same answers on every group with N <= 16.
+``MetabGroup`` decides torsion with one divisibility test per line of
+(N/p) Z_N^2 in M's canonical coordinates, and the centre by the
+augmentation of the consistency vectors.  The oracles in
+``metab_bruteforce`` try every residue with stacked d x 5d solves; both
+must give the same answers on every group with N <= 16.  No K has torsion
+or a nontrivial centre, so the other outcome of each check is reached by
+injecting relations into S: torsion at a chosen line residue, and relation
+modules whose centre answer the oracle's rank test decides.
 """
 
 import pytest
 
 from gentorsion.errors import TheoremViolationError
 from gentorsion.gentor import SplitMix64
+from gentorsion.intlin import cokernel_structure
 from gentorsion.metab import build_K
 
 import metab_bruteforce as brute
 
 SMALL = ((2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1), (2, 2, 2), (2, 1, 3))
+INJECTED = ((2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1))
 
 
-def ring_mul(G, m, v):
-    """m * v in the group ring, as a sum of shifted copies of m."""
-    out = G._zero
-    for i in range(G.qn):
-        for j in range(G.qm):
-            k = v[i * G.qm + j]
-            if k:
-                out = G._add(out, G._scale(G._shift(m, i, j), k))
-    return out
+def group_id(pnm):
+    return "K:%d,%d,%d" % pnm
 
 
-def nonzero_residues(G):
-    return [(a, b) for a in range(G.N) for b in range(G.N) if (a, b) != (0, 0)]
+def seed_of(pnm):
+    p, n, m = pnm
+    return 100 * p + 10 * n + m
 
 
-@pytest.mark.parametrize("pnm", SMALL, ids=lambda t: "K:%d,%d,%d" % t)
+def rand_vec(rng, width, spread=3):
+    return tuple(rng.randrange(2 * spread + 1) - spread for _ in range(width))
+
+
+def line_power(G, a, b):
+    """(x^a y^b)^p as an element; its coords are the c of (x^a y^b c^v)^p = c^{p v + c}."""
+    return G.pow(G._make(a, b, G._zero), G.p)
+
+
+def set_relations(G, vectors):
+    """Replace the generators of S and rebuild M from their shift closure."""
+    G._relations = tuple(vectors)
+    G.module = cokernel_structure(G._consistency_rows())
+
+
+@pytest.mark.parametrize("pnm", SMALL, ids=group_id)
 def test_checks_agree_with_brute_force(pnm):
     G = build_K(*pnm)
     old_torsion = brute.find_torsion(G)
@@ -53,69 +68,88 @@ def test_torsion_residues_are_one_per_line():
         assert covered == {(s * i, s * j) for i in range(G.p) for j in range(G.p)} - {(0, 0)}
 
 
-@pytest.mark.parametrize("pnm", SMALL, ids=lambda t: "K:%d,%d,%d" % t)
+@pytest.mark.parametrize("pnm", SMALL, ids=group_id)
 def test_residue_power_agrees_with_affine_power(pnm):
-    """m is built directly and c from one cover power; the oracle multiplies
-    affine forms step by step.  m must match exactly, c modulo S."""
+    """On a line residue x^a y^b acts trivially on M: the oracle's affine
+    power has m = p * 1 exactly, and its c is the library's power modulo S."""
     G = build_K(*pnm)
-    for a, b in nonzero_residues(G):
-        m, c = G._residue_power(a, b)
-        m_old, c_old = brute.residue_power(G, a, b)
-        assert m == m_old, (a, b)
-        assert G.module.canonical(c) == G.module.canonical(c_old), (a, b)
+    for a, b in G._torsion_residues():
+        m, c = brute.residue_power(G, a, b)
+        assert m == G._scale(G.monomial(0, 0), G.p), (a, b)
+        assert G.module.canonical(c) == line_power(G, a, b).coords, (a, b)
 
 
-@pytest.mark.parametrize("pnm", ((2, 1, 1), (3, 1, 1)), ids=lambda t: "K:%d,%d,%d" % t)
-def test_module_solve_agrees_with_stacked_solve(pnm):
-    """The solution branch, which no torsion-free K reaches on its own.
+@pytest.mark.parametrize("pnm", SMALL, ids=group_id)
+def test_line_residue_power_is_p_w_plus_c(pnm):
+    """(x^a y^b c^v)^p = c^{p v + c} in canonical coordinates, for seeded v."""
+    G = build_K(*pnm)
+    rng = SplitMix64(31 + seed_of(pnm))
+    for a, b in G._torsion_residues():
+        c = line_power(G, a, b).coords
+        for _ in range(4):
+            w = rand_vec(rng, G.module.free_rank)
+            got = G.pow(G._make(a, b, G.module.lift(w)), G.p).coords
+            assert got == tuple(G.p * x + y for x, y in zip(w, c)), (a, b, w)
 
-    For every residue's power form c^{m v + c}, right-hand sides built as
-    -(m w) + (element of S) must be solvable, random ones agree with the
-    stacked solve, and every returned v must put m v + c into S.
+
+@pytest.mark.parametrize("pnm", INJECTED, ids=group_id)
+def test_injected_torsion_has_a_witness(pnm):
+    """Adding c + p u to S gives x^a y^b c^u order p at a chosen line residue.
+
+    M then has torsion, and the divisibility test is exact when p divides
+    every invariant factor (p v_i + c_i = 0 mod d_i is solvable iff p
+    divides c_i), so only those draws are kept.  The witness found, at this
+    residue or an earlier one, must have order p.
     """
-    G = build_K(*pnm)
-    rng = SplitMix64(20406 + G.N)
-    srows = brute.relation_columns(G)
-    proj = G.module.to_canonical
+    rng = SplitMix64(505 + seed_of(pnm))
+    injected_kinds = set()
+    kept = 0
+    for _ in range(30):
+        G = build_K(*pnm)
+        residues = G._torsion_residues()
+        a, b = residues[rng.randrange(len(residues))]
+        c = line_power(G, a, b).raw
+        u = rand_vec(rng, G.d)
+        set_relations(G, G._relations + (G._add(c, G._scale(u, G.p)),))
+        if any(f % G.p for f in G.module.invariant_factors):
+            continue
+        kept += 1
+        assert G.pow(G._make(a, b, u), G.p) == G.identity()
+        w = G.torsion_witness()
+        assert w is not None, (a, b, u)
+        assert w != G.identity() and G.pow(w, G.p) == G.identity(), (a, b, u)
+        assert not G.is_torsion_free()
+        injected_kinds.add(a == 0)
+    assert kept >= 10
+    assert injected_kinds == {True, False}
 
-    def rand_vec(width):
-        return tuple(rng.randrange(7) - 3 for _ in range(width))
 
-    for a, b in nonzero_residues(G):
-        m, _ = G._residue_power(a, b)
-        s = srows.mat_vec(rand_vec(srows.cols))
-        seeded = G._add(G._neg(ring_mul(G, m, rand_vec(G.d))), s)
-        for c, must_solve in ((seeded, True), (rand_vec(G.d), False)):
-            new = G._solve_in_module(m, c)
-            old = brute.stacked_solve(G, m, G._neg(c), srows)
-            assert (new is None) == (old is None), (a, b, c)
-            if must_solve:
-                assert new is not None, (a, b, c)
-            for v in (new, old):
-                if v is not None:
-                    assert not any(proj.mat_vec(G._add(ring_mul(G, m, v), c))), (a, b, c, v)
+@pytest.mark.parametrize("pnm", INJECTED, ids=group_id)
+def test_center_agrees_with_rank_test_on_injected_relations(pnm):
+    """The augmentation test against the rank test on seeded relation modules.
 
-
-@pytest.mark.parametrize("pnm", ((2, 1, 1), (3, 1, 1)), ids=lambda t: "K:%d,%d,%d" % t)
-def test_module_solve_on_random_multipliers(pnm):
-    """Sums of one or two signed monomials give both outcomes; both solvers agree."""
-    G = build_K(*pnm)
-    rng = SplitMix64(7 + G.N)
-    srows = brute.relation_columns(G)
-    proj = G.module.to_canonical
+    Half the vectors are v - X^i Y^j v, of augmentation 0, so both answers
+    occur.  Only torsion-free modules are kept, where the rank test is
+    exact.  The injected S need not come from a presentation, so the
+    torsion precondition is taken as answered.
+    """
+    rng = SplitMix64(77 + seed_of(pnm))
     outcomes = set()
-    for _ in range(40):
-        m = G._zero
-        for _ in range(1 + rng.randrange(2)):
-            mono = G.monomial(rng.randrange(G.qn), rng.randrange(G.qm))
-            m = G._add(m, G._scale(mono, 1 - 2 * rng.randrange(2)))
-        c = tuple(rng.randrange(7) - 3 for _ in range(G.d))
-        new = G._solve_in_module(m, c)
-        old = brute.stacked_solve(G, m, G._neg(c), srows)
-        assert (new is None) == (old is None), (m, c)
-        outcomes.add(new is None)
-        if new is not None:
-            assert not any(proj.mat_vec(G._add(ring_mul(G, m, new), c))), (m, c, new)
+    for _ in range(60):
+        G = build_K(*pnm)
+        vectors = []
+        for _ in range(1 + rng.randrange(3)):
+            v = rand_vec(rng, G.d, spread=1)
+            if rng.randrange(2):
+                v = G._add(v, G._neg(G._shift(v, rng.randrange(G.qn), rng.randrange(G.qm))))
+            vectors.append(v)
+        set_relations(G, vectors)
+        if G.module.invariant_factors:
+            continue
+        G._torsion = None
+        trivial = G.has_trivial_center()
+        assert trivial == brute.center_rank_test(G), vectors
+        outcomes.add(trivial)
     assert outcomes == {True, False}
 
 

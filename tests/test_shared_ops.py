@@ -349,29 +349,32 @@ def test_coset_walk_needs_generators_for_every_coset():
     assert G.verify_positive_identity_all(2, G.transversal())
 
 
+# (factory, owner, name of the counted call, torsion-free): extension groups
+# solve for witnesses, K decides torsion by multiplying
 TORSION_CACHE = {
-    "promislow": (promislow, extgroup, True),
-    "dinf": (lambda: ExtensionGroup(build_dihedral_infinite(), name="dinf"), extgroup, False),
-    "K:2,1,1": (lambda: build_K(2, 1, 1), metab, True),
+    "promislow": (promislow, extgroup, "solve_integer_linear", True),
+    "dinf": (lambda: ExtensionGroup(build_dihedral_infinite(), name="dinf"), extgroup,
+             "solve_integer_linear", False),
+    "K:2,1,1": (lambda: build_K(2, 1, 1), metab.MetabGroup, "mul", True),
 }
 
 
 @pytest.mark.parametrize("name", TORSION_CACHE)
 def test_torsion_answer_is_cached(name, monkeypatch):
     # a torsion-free answer (no witness) is cached like a witness is
-    factory, module, torsion_free = TORSION_CACHE[name]
+    factory, owner, attr, torsion_free = TORSION_CACHE[name]
     G = factory()
-    solves = []
-    original = module.solve_integer_linear
+    calls = []
+    original = getattr(owner, attr)
 
-    def counting_solve(*args):
-        solves.append(args)
+    def counting(*args):
+        calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(module, "solve_integer_linear", counting_solve)
+    monkeypatch.setattr(owner, attr, counting)
     assert G.is_torsion_free() == torsion_free
-    assert solves
-    first = len(solves)
+    assert calls
+    first = len(calls)
     assert G.is_torsion_free() == torsion_free
     assert (G.torsion_witness() is None) == torsion_free
-    assert len(solves) == first
+    assert len(calls) == first
