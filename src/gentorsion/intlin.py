@@ -13,7 +13,7 @@ columns is Z^c / rowspace(R).  Vectors are plain tuples and act as columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from math import gcd, lcm
 
 
@@ -40,7 +40,9 @@ class IntMatrix:
     """Immutable dense matrix of Python ints.
 
     A matrix with zero rows still needs a column count, hence the explicit
-    ``cols`` argument for that case.
+    ``cols`` argument for that case.  ``IntMatrix(data)`` converts and checks
+    every entry; matrices built inside the package from rows that already
+    hold ints go through ``_of`` instead.
     """
 
     __slots__ = ("rows", "cols", "_data")
@@ -62,21 +64,34 @@ class IntMatrix:
         self._data = body
 
     @classmethod
+    def _of(cls, rows, cols: int) -> "IntMatrix":
+        """Trusted constructor: ``rows`` are equal-length rows of ints.
+
+        No entry is converted and no shape is checked; rows that are
+        already tuples are kept as they are, not copied.
+        """
+        self = object.__new__(cls)
+        self._data = tuple(map(tuple, rows))
+        self.rows = len(self._data)
+        self.cols = cols
+        return self
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
+        return cls._of(_identity_rows(n), n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
+        return cls._of(((0,) * cols,) * rows, cols)
 
     @classmethod
     def diagonal(cls, entries, rows: int | None = None, cols: int | None = None) -> "IntMatrix":
         entries = [int(x) for x in entries]
         r = rows if rows is not None else len(entries)
         c = cols if cols is not None else len(entries)
-        return cls(
+        return cls._of(
             [[entries[i] if i == j and i < len(entries) else 0 for j in range(c)] for i in range(r)],
-            cols=c,
+            c,
         )
 
     def __getitem__(self, key) -> int:
@@ -101,10 +116,8 @@ class IntMatrix:
         return f"IntMatrix({self.to_lists()!r})" if self.rows else f"IntMatrix([], cols={self.cols})"
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            [[self._data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
+        # zip(*rows) sees no columns when there are no rows
+        return IntMatrix._of(zip(*self._data) if self.rows else ((),) * self.cols, self.rows)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -115,7 +128,7 @@ class IntMatrix:
             out.append(
                 [sum(r[k] * od[k][j] for k in range(self.cols)) for j in range(other.cols)]
             )
-        return IntMatrix(out, cols=other.cols)
+        return IntMatrix._of(out, other.cols)
 
     def mat_vec(self, v) -> tuple[int, ...]:
         v = tuple(v)
@@ -126,27 +139,27 @@ class IntMatrix:
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionError("shape mismatch in addition")
-        return IntMatrix(
+        return IntMatrix._of(
             [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(self._data, other._data)],
-            cols=self.cols,
+            self.cols,
         )
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         return self + (-other)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-x for x in r] for r in self._data], cols=self.cols)
+        return IntMatrix._of([[-x for x in r] for r in self._data], self.cols)
 
     def vstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.cols:
             raise DimensionError("column counts differ in vstack")
-        return IntMatrix(self._data + other._data, cols=self.cols)
+        return IntMatrix._of(self._data + other._data, self.cols)
 
     def submatrix(self, row_idx, col_idx) -> "IntMatrix":
         col_idx = tuple(col_idx)
-        return IntMatrix(
+        return IntMatrix._of(
             [[self._data[i][j] for j in col_idx] for i in row_idx],
-            cols=len(col_idx),
+            len(col_idx),
         )
 
     def det(self) -> int:
@@ -177,8 +190,8 @@ class IntMatrix:
         return self.rows == self.cols and abs(self.det()) == 1
 
 
-def _unit(n: int, i: int) -> tuple[int, ...]:
-    return tuple(1 if k == i else 0 for k in range(n))
+def _identity_rows(n: int) -> list[list[int]]:
+    return [[0] * i + [1] + [0] * (n - i - 1) for i in range(n)]
 
 
 def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -190,7 +203,7 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     (ties to the smallest row index), which keeps the run deterministic.
     """
     a = m.to_lists()
-    u = IntMatrix.identity(m.rows).to_lists()
+    u = _identity_rows(m.rows)
     pr = 0
     for j in range(m.cols):
         if pr == m.rows:
@@ -223,7 +236,7 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
                 a[i] = [x - q * y for x, y in zip(a[i], a[pr])]
                 u[i] = [x - q * y for x, y in zip(u[i], u[pr])]
         pr += 1
-    return IntMatrix(a, cols=m.cols), IntMatrix(u, cols=m.rows)
+    return IntMatrix._of(a, m.cols), IntMatrix._of(u, m.rows)
 
 
 @dataclass(frozen=True)
@@ -253,10 +266,23 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     deterministic.  Negative pivots are normalized by sign flips folded
     into U.
     """
+    u, a, v = _smith_eliminate(m, track_v=True)
+    return SmithDecomposition(
+        IntMatrix._of(u, m.rows), IntMatrix._of(a, m.cols), IntMatrix._of(v, m.cols)
+    )
+
+
+def _smith_eliminate(m: IntMatrix, track_v: bool):
+    """The elimination behind ``smith_normal_form``, as lists (u, d, v).
+
+    Without ``track_v`` the column transform is not built and v is None;
+    u and d come out the same either way, as column operations never read v.
+    """
     R, C = m.rows, m.cols
     a = m.to_lists()
-    u = IntMatrix.identity(R).to_lists()
-    v = IntMatrix.identity(C).to_lists()
+    u = _identity_rows(R)
+    v = _identity_rows(C) if track_v else None
+    col_mats = (a, v) if track_v else (a,)
 
     def row_transform(i1, i2, p, q):
         # plain subtraction when p | q: keeps the pivot row in place, which
@@ -278,12 +304,12 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     def col_transform(j1, j2, p, q):
         if q % p == 0:
             k = q // p
-            for mat in (a, v):
+            for mat in col_mats:
                 for r in mat:
                     r[j2] -= k * r[j1]
             return
         g, s, t = xgcd(p, q)
-        for mat in (a, v):
+        for mat in col_mats:
             for r in mat:
                 x, y = r[j1], r[j2]
                 r[j1] = s * x + t * y
@@ -304,7 +330,7 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
             a[t], a[bi] = a[bi], a[t]
             u[t], u[bi] = u[bi], u[t]
         if bj != t:
-            for mat in (a, v):
+            for mat in col_mats:
                 for r in mat:
                     r[t], r[bj] = r[bj], r[t]
         while True:
@@ -334,9 +360,7 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
         if a[k][k] < 0:
             a[k] = [-x for x in a[k]]
             u[k] = [-x for x in u[k]]
-    return SmithDecomposition(
-        IntMatrix(u, cols=R), IntMatrix(a, cols=C), IntMatrix(v, cols=C)
-    )
+    return u, a, v
 
 
 def solve_integer_linear(m: IntMatrix, b) -> tuple[int, ...] | None:
@@ -358,7 +382,6 @@ def solve_integer_linear(m: IntMatrix, b) -> tuple[int, ...] | None:
     return snf.V.mat_vec(y)
 
 
-@lru_cache(maxsize=None)
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
     """Exact inverse of a unimodular integer matrix."""
     h, w = hermite_normal_form(m)
@@ -431,7 +454,12 @@ class AbelianStructure:
         full = [0] * self.n_generators
         for pos, x in zip(self.selected, coords):
             full[pos] = x
-        return unimodular_inverse(self.transform).mat_vec(full)
+        return self._inverse_transform.mat_vec(full)
+
+    @cached_property
+    def _inverse_transform(self) -> IntMatrix:
+        # inverted on the first lift and kept with this structure only
+        return unimodular_inverse(self.transform)
 
     def describe(self) -> str:
         parts = [f"C{d}" for d in self.invariant_factors] + ["Z"] * self.free_rank
@@ -439,18 +467,21 @@ class AbelianStructure:
 
 
 def cokernel_structure(relations: IntMatrix) -> AbelianStructure:
-    """Structure of Z^cols / rowspace(relations)."""
-    snf = smith_normal_form(relations.transpose())
+    """Structure of Z^cols / rowspace(relations).
+
+    Only the row transform U of the Smith form of relations^T is used, so
+    the column transform is not built.
+    """
+    u, d, _ = _smith_eliminate(relations.transpose(), track_v=False)
     c = relations.cols
-    full = []
-    for i in range(c):
-        full.append(snf.D[i, i] if i < min(snf.D.rows, snf.D.cols) else 0)
-    selected = tuple(i for i, d in enumerate(full) if d != 1)
+    full = [d[i][i] if i < relations.rows else 0 for i in range(c)]
+    selected = tuple(i for i, x in enumerate(full) if x != 1)
     moduli = tuple(full[i] for i in selected)
-    factors = tuple(d for d in moduli if d > 1)
-    free_rank = sum(1 for d in moduli if d == 0)
-    to_canonical = IntMatrix([snf.U.row(i) for i in selected], cols=c)
-    return AbelianStructure(factors, free_rank, to_canonical, moduli, selected, snf.U)
+    factors = tuple(x for x in moduli if x > 1)
+    free_rank = sum(1 for x in moduli if x == 0)
+    transform = IntMatrix._of(u, c)
+    to_canonical = IntMatrix._of([transform.row(i) for i in selected], c)
+    return AbelianStructure(factors, free_rank, to_canonical, moduli, selected, transform)
 
 
 def element_order_in_cokernel(structure: AbelianStructure, v) -> int | None:

@@ -74,6 +74,7 @@ class MetabGroup:
         self.key = (p, n, m)
         self.name = f"K:{p},{n},{m}"
         self._zero = (0,) * self.d
+        self._shifts = self._shift_table()
 
         # power relations x^N = c^{g3}, y^N = c^{g4}, by unreduced collection
         # of the relators (x^{qn})^{Psi_{qm}(y)} and (y^{qm})^{Psi_{qn}(x)}
@@ -102,16 +103,23 @@ class MetabGroup:
 
     # -- ring helpers (vectors over the monomial basis X^i Y^j) -------------
 
+    def _shift_table(self):
+        """Index permutation of each shift X^a Y^b, at a * qm + b.
+
+        Multiplying by X^a Y^b moves the coefficient of X^i Y^j to
+        X^{i+a} Y^{j+b}, so entry k = i * qm + j of the result is read from
+        ((i - a) % qn) * qm + (j - b) % qm.
+        """
+        qn, qm = self.qn, self.qm
+        cols = [[(j - b) % qm for j in range(qm)] for b in range(qm)]
+        table = []
+        for a in range(qn):
+            rows = [((i - a) % qn) * qm for i in range(qn)]
+            table.extend(tuple(r + c for r in rows for c in cols[b]) for b in range(qm))
+        return table
+
     def _shift(self, v, a: int, b: int):
-        a %= self.qn
-        b %= self.qm
-        out = [0] * self.d
-        for i in range(self.qn):
-            row = ((i + a) % self.qn) * self.qm
-            src = i * self.qm
-            for j in range(self.qm):
-                out[row + (j + b) % self.qm] = v[src + j]
-        return tuple(out)
+        return tuple(map(v.__getitem__, self._shifts[(a % self.qn) * self.qm + b % self.qm]))
 
     @staticmethod
     def _add(u, v):
@@ -232,9 +240,9 @@ class MetabGroup:
 
     def _consistency_rows(self) -> IntMatrix:
         """S as rows: the closure of the consistency vectors under the X and Y shifts."""
-        rows = [list(self._shift(vec, i, j))
+        rows = [self._shift(vec, i, j)
                 for vec in self._relations for i in range(self.qn) for j in range(self.qm)]
-        return IntMatrix(rows, cols=self.d)
+        return IntMatrix._of(rows, self.d)
 
     def in_relation_submodule(self, v) -> bool:
         # canonical coordinates present Z^d / S exactly, so they vanish on S only

@@ -15,12 +15,27 @@ relation modules, where no group presentation backs the residue loops.
 
 The oracles multiply with their own ``affine_mul``, written apart from
 the library's collection code, so they do not share a multiplier with the
-code they check.
+code they check.  ``shift`` is the double loop the library's ``_shift``
+ran before it read a precomputed permutation table; the oracles shift with
+it, and the tests compare the two.
 """
 
 from math import gcd, lcm
 
 from gentorsion.intlin import IntMatrix, smith_normal_form, solve_integer_linear
+
+
+def shift(G, v, a, b):
+    """The ring vector X^a Y^b v, moving coefficients one monomial at a time."""
+    a %= G.qn
+    b %= G.qm
+    out = [0] * G.d
+    for i in range(G.qn):
+        row = ((i + a) % G.qn) * G.qm
+        src = i * G.qm
+        for j in range(G.qm):
+            out[row + (j + b) % G.qm] = v[src + j]
+    return tuple(out)
 
 
 def affine_mul(G, f1, f2):
@@ -31,14 +46,14 @@ def affine_mul(G, f1, f2):
     """
     a1, b1, m1, c1 = f1
     a2, b2, m2, c2 = f2
-    m = G._add(G._shift(m1, a2, b2), m2)
-    c = G._add(G._shift(c1, a2, b2), c2)
+    m = G._add(shift(G, m1, a2, b2), m2)
+    c = G._add(shift(G, c1, a2, b2), c2)
     if a2 and b1:
-        c = G._add(c, G._neg(G._shift(G._psi_product(a2, b1), 0, b2)))
+        c = G._add(c, G._neg(shift(G, G._psi_product(a2, b1), 0, b2)))
     a, b = a1 + a2, b1 + b2
     k, a = divmod(a, G.N)
     if k:
-        c = G._add(c, G._scale(G._shift(G.g3, 0, b), k))
+        c = G._add(c, G._scale(shift(G, G.g3, 0, b), k))
     l, b = divmod(b, G.N)
     if l:
         c = G._add(c, G._scale(G.g4, l))
@@ -59,7 +74,7 @@ def residue_power(G, a, b):
 
 def mult_matrix(G, r) -> IntMatrix:
     """Matrix of ring multiplication v -> r * v (columns are shifts)."""
-    cols = [G._shift(r, i, j) for i in range(G.qn) for j in range(G.qm)]
+    cols = [shift(G, r, i, j) for i in range(G.qn) for j in range(G.qm)]
     return IntMatrix([[cols[c][row] for c in range(G.d)] for row in range(G.d)], cols=G.d)
 
 

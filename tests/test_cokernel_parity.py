@@ -1,0 +1,91 @@
+"""``cokernel_structure`` against the full Smith form it used to read.
+
+``cokernel_structure`` eliminates without the column transform V and
+builds its matrices from trusted rows.  The reference below is the former
+body: the U of ``smith_normal_form(relations.transpose())``, with every
+matrix built through the validating ``IntMatrix`` constructor.  Both must
+agree field by field, and give the same canonical coordinates, on every
+K(p^n, p^m) commutator module with N <= 16 and on the abelianizations of
+the catalog groups.
+"""
+
+import pytest
+
+from gentorsion.catalog import (
+    FreeAbelExtInput,
+    build_dihedral_infinite,
+    build_free_abelianized_extension,
+    build_klein_bottle,
+    build_promislow,
+    build_wreath,
+)
+from gentorsion.extgroup import ExtensionGroup, abelianization_relations
+from gentorsion.gentor import SplitMix64, random_word_element
+from gentorsion.intlin import AbelianStructure, IntMatrix, cokernel_structure, smith_normal_form
+from gentorsion.metab import build_K
+
+SMALL_K = ((2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1), (2, 2, 2), (2, 1, 3), (2, 3, 1))
+C2 = [[0, 1], [1, 0]]
+C3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+C2xC2 = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+CATALOG = {
+    "dinf": build_dihedral_infinite,
+    "klein": build_klein_bottle,
+    "promislow": build_promislow,
+    "wreath2": lambda: build_wreath(C2),
+    "wreath3": lambda: build_wreath(C3),
+    "freeabext1": lambda: build_free_abelianized_extension(FreeAbelExtInput.build(1, C2, [1])),
+    "freeabext2": lambda: build_free_abelianized_extension(FreeAbelExtInput.build(2, C2, [1, 1])),
+    "freeabext4": lambda: build_free_abelianized_extension(FreeAbelExtInput.build(2, C2xC2, [1, 2])),
+}
+
+
+def reference_structure(relations: IntMatrix) -> AbelianStructure:
+    snf = smith_normal_form(relations.transpose())
+    c = relations.cols
+    full = [snf.D[i, i] if i < min(snf.D.rows, snf.D.cols) else 0 for i in range(c)]
+    selected = tuple(i for i, d in enumerate(full) if d != 1)
+    moduli = tuple(full[i] for i in selected)
+    factors = tuple(d for d in moduli if d > 1)
+    free_rank = sum(1 for d in moduli if d == 0)
+    to_canonical = IntMatrix([snf.U.row(i) for i in selected], cols=c)
+    transform = IntMatrix(snf.U.to_lists(), cols=c)
+    return AbelianStructure(factors, free_rank, to_canonical, moduli, selected, transform)
+
+
+def assert_same_structure(got: AbelianStructure, want: AbelianStructure):
+    assert got.to_canonical == want.to_canonical
+    assert got.moduli == want.moduli
+    assert got.selected == want.selected
+    assert got.transform == want.transform
+    assert got.invariant_factors == want.invariant_factors
+    assert got.free_rank == want.free_rank
+    assert got == want
+    for m in (got.to_canonical, got.transform):
+        assert all(type(x) is int for i in range(m.rows) for x in m.row(i))
+
+
+@pytest.mark.parametrize("pnm", SMALL_K, ids=lambda pnm: "K:%d,%d,%d" % pnm)
+def test_commutator_module_matches_full_smith_form(pnm):
+    G = build_K(*pnm)
+    want = reference_structure(G._consistency_rows())
+    assert_same_structure(G.module, want)
+    want_ab = reference_structure(IntMatrix.diagonal([G.N, G.N]))
+    assert_same_structure(G.abelianization(), want_ab)
+    rng = SplitMix64(1000 + G.d)
+    for _ in range(40):
+        g = random_word_element(G, rng, 16)
+        assert g.coords == want.canonical(g.raw)
+        assert G.abelianization().canonical(G.ab_vector(g)) == want_ab.canonical(G.ab_vector(g))
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_catalog_abelianization_matches_full_smith_form(name):
+    spec = CATALOG[name]()
+    G = ExtensionGroup(spec, name=name)
+    want = reference_structure(abelianization_relations(spec))
+    assert_same_structure(G.abelianization(), want)
+    rng = SplitMix64(2000 + len(name))
+    for _ in range(40):
+        v = G.ab_vector(random_word_element(G, rng, 16))
+        assert G.abelianization().canonical(v) == want.canonical(v)

@@ -1,9 +1,10 @@
-"""Exact integer linear algebra: frozen examples plus randomized oracles."""
+"""Exact integer linear algebra: frozen examples, randomized oracles and properties."""
 
 from itertools import combinations
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gentorsion.intlin import (
     AbelianStructure,
@@ -146,6 +147,23 @@ def test_canonical_and_lift_roundtrip():
         assert s.canonical(lifted) == coords
 
 
+def test_lift_inverse_is_kept_per_structure():
+    """The inverse transform is cached on the structure that lifts, not globally."""
+    assert not hasattr(unimodular_inverse, "cache_info")
+    rel = IntMatrix([[2, 4, 4], [-6, 6, 12], [4, 8, 8]])
+    s, t = cokernel_structure(rel), cokernel_structure(rel)
+    assert s == t and s.transform is not t.transform
+    assert s.invariant_factors and s.free_rank
+    rng = SplitMix64(8)
+    for _ in range(20):
+        coords = tuple(rng.randrange(31) - 15 for _ in s.selected)
+        reduced = tuple(x % d if d else x for x, d in zip(coords, s.moduli))
+        assert s.canonical(s.lift(coords)) == reduced
+    assert "_inverse_transform" in vars(s)
+    assert "_inverse_transform" not in vars(t)
+    assert s._inverse_transform @ s.transform == IntMatrix.identity(3)
+
+
 def _minor_gcd(m, k):
     g = 0
     for rows in combinations(range(m.rows), k):
@@ -219,3 +237,71 @@ def test_abelian_structure_is_frozen():
     assert isinstance(s, AbelianStructure)
     with pytest.raises(AttributeError):
         s.free_rank = 5
+
+
+# -- properties on small random matrices, empty shapes included -------------
+
+prop_settings = settings(derandomize=True, deadline=None, max_examples=80)
+
+
+@st.composite
+def matrices(draw, max_side=5, span=12):
+    rows = draw(st.integers(0, max_side))
+    cols = draw(st.integers(0, max_side))
+    entry = st.integers(-span, span)
+    data = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    return IntMatrix(data, cols=cols)
+
+
+def assert_int_matrix(m, rows, cols):
+    assert (m.rows, m.cols) == (rows, cols)
+    for i in range(m.rows):
+        row = m.row(i)
+        assert type(row) is tuple and len(row) == cols
+        assert all(type(x) is int for x in row)
+
+
+@prop_settings
+@given(matrices())
+def test_transpose_property(m):
+    t = m.transpose()
+    assert_int_matrix(t, m.cols, m.rows)
+    assert t.transpose() == m
+    assert all(t[j, i] == m[i, j] for i in range(m.rows) for j in range(m.cols))
+
+
+@prop_settings
+@given(matrices())
+def test_hnf_property(m):
+    h, u = hermite_normal_form(m)
+    assert_int_matrix(h, m.rows, m.cols)
+    assert_int_matrix(u, m.rows, m.rows)
+    assert u @ m == h
+
+
+@prop_settings
+@given(matrices())
+def test_snf_property(m):
+    snf = smith_normal_form(m)
+    assert_int_matrix(snf.U, m.rows, m.rows)
+    assert_int_matrix(snf.D, m.rows, m.cols)
+    assert_int_matrix(snf.V, m.cols, m.cols)
+    assert snf.U @ m @ snf.V == snf.D
+    assert all(snf.D[i, j] == 0 for i in range(m.rows) for j in range(m.cols) if i != j)
+    diag = snf.diagonal()
+    assert all(d >= 0 for d in diag)
+    for a, b in zip(diag, diag[1:]):
+        assert (b % a == 0) if a else b == 0
+
+
+@prop_settings
+@given(matrices())
+def test_cokernel_agrees_with_snf_property(m):
+    s = cokernel_structure(m)
+    snf = smith_normal_form(m.transpose())
+    diag = snf.diagonal()
+    assert s.invariant_factors == tuple(d for d in diag if d > 1)
+    assert s.free_rank == m.cols - sum(1 for d in diag if d)
+    assert s.transform == snf.U
+    assert_int_matrix(s.transform, m.cols, m.cols)
+    assert_int_matrix(s.to_canonical, len(s.selected), m.cols)

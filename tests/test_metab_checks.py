@@ -21,6 +21,7 @@ import metab_bruteforce as brute
 
 SMALL = ((2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1), (2, 2, 2), (2, 1, 3))
 INJECTED = ((2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1))
+SHIFTED = ((2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1))
 
 
 def group_id(pnm):
@@ -45,6 +46,20 @@ def set_relations(G, vectors):
     """Replace the generators of S and rebuild M from their shift closure."""
     G._relations = tuple(vectors)
     G.module = cokernel_structure(G._consistency_rows())
+
+
+@pytest.mark.parametrize("pnm", SHIFTED, ids=group_id)
+def test_shift_table_agrees_with_double_loop(pnm):
+    """The table-driven shift against the old double loop, for every
+    exponent pair with a in [-2 p^n, 2 p^n) and b in [-2 p^m, 2 p^m).
+    The vector of distinct entries pins the whole permutation."""
+    G = build_K(*pnm)
+    rng = SplitMix64(3 + seed_of(pnm))
+    vectors = (tuple(range(G.d)), rand_vec(rng, G.d), rand_vec(rng, G.d, spread=50))
+    for a in range(-2 * G.qn, 2 * G.qn):
+        for b in range(-2 * G.qm, 2 * G.qm):
+            for v in vectors:
+                assert G._shift(v, a, b) == brute.shift(G, v, a, b), (a, b, v)
 
 
 @pytest.mark.parametrize("pnm", SMALL, ids=group_id)
