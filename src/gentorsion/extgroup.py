@@ -24,9 +24,9 @@ from math import lcm
 from typing import NamedTuple
 
 from .errors import GroupInputError
-from .gentor import (_UNSET, _verify_product, conjugate, labeled_transversal,
+from .gentor import (_UNSET, _free_name, _verify_product, conjugate, labeled_transversal,
                      order_mod_translation, power)
-from .intlin import IntMatrix, cokernel_structure, smith_normal_form, solve_integer_linear
+from .intlin import IntMatrix, cokernel_structure, solve_integer_linear
 
 
 class ExtElement(NamedTuple):
@@ -287,14 +287,9 @@ class ExtensionGroup:
     def center_rank(self) -> int:
         """Rank of the sublattice fixed by every phi(q)."""
         s = self.spec
-        if s.q_size == 1:
-            return s.n
-        stacked = None
-        for q in range(1, s.q_size):
-            block = s.phi[q] - IntMatrix.identity(s.n)
-            stacked = block if stacked is None else stacked.vstack(block)
-        diag = smith_normal_form(stacked).diagonal()
-        return s.n - sum(1 for d in diag if d != 0)
+        ident = IntMatrix.identity(s.n)
+        rows = [row for q in range(1, s.q_size) for row in (s.phi[q] - ident).to_lists()]
+        return cokernel_structure(IntMatrix._of(rows, s.n)).free_rank
 
     def verify_positive_identity_all(self, k: int, conjugators) -> bool:
         """True iff prod_j (g^k)^{x_j} = 1 for EVERY group element g.
@@ -351,17 +346,10 @@ def direct_product(spec1: ExtensionSpec, spec2: ExtensionSpec) -> ExtensionSpec:
             for k in range(q1):
                 for l in range(q2):
                     coc[pack(i, j)][pack(k, l)] = tuple(spec1.coc[i][k]) + tuple(spec2.coc[j][l])
-    taken = set()
-    gens = []
-    for name, g in spec1.generator_names:
-        gens.append((name, (pack(g.q, 0), tuple(g.a) + (0,) * n2)))
-        taken.add(name)
-    for name, g in spec2.generator_names:
-        new = name
-        while new in taken:
-            new += "2"
-        taken.add(new)
-        gens.append((new, (pack(0, g.q), (0,) * n1 + tuple(g.a))))
+    taken = {name for name, _ in spec1.generator_names}
+    gens = [(name, (pack(g.q, 0), tuple(g.a) + (0,) * n2)) for name, g in spec1.generator_names]
+    gens += [(_free_name(name, taken), (pack(0, g.q), (0,) * n1 + tuple(g.a)))
+             for name, g in spec2.generator_names]
     return ExtensionSpec.build(table, phi, coc, gens)
 
 

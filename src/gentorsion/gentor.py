@@ -470,6 +470,14 @@ def _conjugate_set(G, g, radius: int):
 # -- direct products ------------------------------------------------------
 
 
+def _free_name(name: str, taken: set) -> str:
+    """Product generator renaming: append "2" until ``name`` is not ``taken``."""
+    while name in taken:
+        name += "2"
+    taken.add(name)
+    return name
+
+
 class DirectProductGroup:
     """Componentwise product of two backends, as a backend.
 
@@ -485,12 +493,7 @@ class DirectProductGroup:
         self.name = name or f"{_backend_name(left)} x {_backend_name(right)}"
         taken = {n for n, _ in left.generators}
         gens = [(n, (e, right.identity())) for n, e in left.generators]
-        for n, e in right.generators:
-            nn = n
-            while nn in taken:
-                nn += "2"
-            taken.add(nn)
-            gens.append((nn, (left.identity(), e)))
+        gens += [(_free_name(n, taken), (left.identity(), e)) for n, e in right.generators]
         self.generators = tuple(gens)
         self._ab = None
 

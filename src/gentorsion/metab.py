@@ -15,18 +15,24 @@ extended to negative exponents by Psi_{-a}(T) = -T^{-a} Psi_a(T).  Writing
 N = p^{n+m}, the power relators of the presentation collapse x^N and y^N
 into commutator words: x^N = c^{g3} and y^N = c^{g4}, where g3 and g4 are
 computed here by collecting the relators, not hard-coded.  The relation
-submodule S is likewise computed mechanically, as the module closure of
-the consistency vectors obtained by conjugating both power relations by
-each generator and comparing the two ways of evaluating the result.
+submodule S is the shift closure of the consistency vectors obtained by
+conjugating both power relations by each generator and comparing the two
+ways of evaluating the result.  Those vectors are collected mechanically
+and then checked to be integer multiples of the norm
+Psi_{p^n}(X) Psi_{p^m}(Y), the all-ones vector, with multiples of gcd 1.
+Shifts fix the norm, so S = Z norm and M = Z^d / Z norm is free of rank
+d - 1; a group failing the check is a theorem violation.
 
 Ring elements are plain integer tuples of length d = p^{n+m}, indexed by
-(i, j) -> i * p^m + j for the monomial X^i Y^j.
+(i, j) -> i * p^m + j for the monomial X^i Y^j.  An element stores its
+commutator exponent v by the coordinates v_k - v_0, k = 1, ..., d - 1:
+the entries after the first of v - v_0 norm.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import lcm
+from dataclasses import dataclass
+from math import gcd, lcm
 
 from .errors import GroupInputError, TheoremViolationError
 from .gentor import (_UNSET, conjugate, labeled_transversal, order_mod_translation, power,
@@ -42,7 +48,6 @@ class MetabElement:
     alpha: int
     beta: int
     coords: tuple
-    raw: tuple = field(compare=False, repr=False)
 
 
 def _is_prime(p: int) -> bool:
@@ -81,18 +86,19 @@ class MetabGroup:
         self.g3 = self._neg(self._relator_tail("x"))
         self.g4 = self._neg(self._relator_tail("y"))
 
+        # S = Z norm exactly when every consistency vector is a multiple of
+        # the norm, with multiples of gcd 1; then M is torsion-free and the
+        # norm, the exponent of [x^{p^n}, y^{p^m}], lies in S
         self._relations = self._consistency_vectors()
-        self.module = cokernel_structure(self._consistency_rows())
-        if self.module.invariant_factors:
-            raise TheoremViolationError(
-                f"commutator module of K({self.qn},{self.qm}) has torsion "
-                f"{self.module.invariant_factors}; the group would not be torsion-free"
-            )
         norm = self._psi_product(self.qn, self.qm)
-        if not self.in_relation_submodule(norm):
+        multiples = [vec[0] for vec in self._relations]
+        if gcd(*multiples) != 1 or any(
+                vec != self._scale(norm, k) for vec, k in zip(self._relations, multiples)):
             raise TheoremViolationError(
-                "x^{p^n} and y^{p^m} do not commute; the translation subgroup is not abelian"
+                f"the relation submodule of K({self.qn},{self.qm}) is not Z norm: its "
+                "generators are not multiples of the norm with gcd 1"
             )
+        self.module = cokernel_structure(IntMatrix._of([norm], self.d))
 
         self.generators = (
             ("x", self._make(1, 0, self._zero)),
@@ -238,12 +244,6 @@ class MetabGroup:
                 vectors.append(vec)
         return tuple(vectors)
 
-    def _consistency_rows(self) -> IntMatrix:
-        """S as rows: the closure of the consistency vectors under the X and Y shifts."""
-        rows = [self._shift(vec, i, j)
-                for vec in self._relations for i in range(self.qn) for j in range(self.qm)]
-        return IntMatrix._of(rows, self.d)
-
     def in_relation_submodule(self, v) -> bool:
         # canonical coordinates present Z^d / S exactly, so they vanish on S only
         return all(x == 0 for x in self.module.canonical(v))
@@ -251,10 +251,11 @@ class MetabGroup:
     # -- normal forms -------------------------------------------------------
 
     def _make(self, alpha: int, beta: int, v) -> MetabElement:
-        """Fold exponents into [0, N) and reduce v to canonical coordinates.
+        """Fold exponents into [0, N) and reduce v modulo the norm.
 
         Folding x^N picks up c^{g3} conjugated past the pending y^beta, so
-        the shift uses beta before its own reduction.
+        the shift uses beta before its own reduction.  The coordinates of
+        v in M = Z^d / Z norm are v_k - v_0 for k >= 1.
         """
         k, alpha = divmod(alpha, self.N)
         if k:
@@ -262,7 +263,8 @@ class MetabGroup:
         l, beta = divmod(beta, self.N)
         if l:
             v = self._add(v, self._scale(self.g4, l))
-        return MetabElement(self.key, alpha, beta, self.module.canonical(v), v)
+        v0 = v[0]
+        return MetabElement(self.key, alpha, beta, tuple(x - v0 for x in v[1:]))
 
     def identity(self) -> MetabElement:
         return self._make(0, 0, self._zero)
@@ -274,11 +276,13 @@ class MetabGroup:
     def mul(self, g: MetabElement, h: MetabElement) -> MetabElement:
         self._check(g)
         self._check(h)
-        return self._make(*self._raw_mul((g.alpha, g.beta, g.raw), (h.alpha, h.beta, h.raw)))
+        # (0,) + coords represents the class; shifts fix the norm
+        return self._make(*self._raw_mul((g.alpha, g.beta, (0,) + g.coords),
+                                         (h.alpha, h.beta, (0,) + h.coords)))
 
     def inv(self, g: MetabElement) -> MetabElement:
         self._check(g)
-        return self._make(*self._raw_inv((g.alpha, g.beta, g.raw)))
+        return self._make(*self._raw_inv((g.alpha, g.beta, (0,) + g.coords)))
 
     conj = conjugate
     pow = power
@@ -357,7 +361,7 @@ class MetabGroup:
         for a, b in self._torsion_residues():
             c = self.pow(self._make(a, b, self._zero), self.p).coords
             if all(x % self.p == 0 for x in c):
-                w = self._make(a, b, self.module.lift([-x // self.p for x in c]))
+                w = self._make(a, b, (0,) + tuple(-x // self.p for x in c))
                 if self.pow(w, self.p) != self.identity():
                     raise TheoremViolationError(
                         f"torsion witness of K({self.qn},{self.qm}) at residue {(a, b)} "

@@ -13,6 +13,13 @@ the fixed sublattice of M, from the ring-multiplication matrices of
 ``mult_matrix``.  It is the oracle for centre answers on injected
 relation modules, where no group presentation backs the residue loops.
 
+``consistency_rows`` is the shift closure of the consistency vectors, the
+4d-row presentation of S that the library once eliminated on every build;
+``closure_module`` is its cokernel.  ``RawK`` is the former element
+arithmetic: it carries an unreduced ring vector through products and
+inverses and reads canonical coordinates from ``closure_module``, so the
+tests compare the library's reduction modulo the norm against it.
+
 The oracles multiply with their own ``affine_mul``, written apart from
 the library's collection code, so they do not share a multiplier with the
 code they check.  ``shift`` is the double loop the library's ``_shift``
@@ -22,7 +29,7 @@ it, and the tests compare the two.
 
 from math import gcd, lcm
 
-from gentorsion.intlin import IntMatrix, smith_normal_form, solve_integer_linear
+from gentorsion.intlin import IntMatrix, cokernel_structure, smith_normal_form, solve_integer_linear
 
 
 def shift(G, v, a, b):
@@ -93,9 +100,22 @@ def center_rank_test(G) -> bool:
     return kernel_rank == G.d - G.module.free_rank
 
 
+def consistency_rows(G, vectors=None) -> IntMatrix:
+    """S as rows: the closure of ``vectors`` (by default the group's
+    consistency vectors) under the X and Y shifts."""
+    vectors = G._relations if vectors is None else vectors
+    rows = [shift(G, vec, i, j) for vec in vectors for i in range(G.qn) for j in range(G.qm)]
+    return IntMatrix(rows, cols=G.d)
+
+
+def closure_module(G, vectors=None):
+    """M = Z^d / S from the Smith cokernel of the full shift closure."""
+    return cokernel_structure(consistency_rows(G, vectors))
+
+
 def relation_columns(G) -> IntMatrix:
     """S^T: the generators of the relation submodule S as columns."""
-    return G._consistency_rows().transpose()
+    return consistency_rows(G).transpose()
 
 
 def stacked_solve(G, m, rhs, srows):
@@ -128,7 +148,36 @@ def find_torsion(G):
 
 
 def _affine_concrete(G, g):
-    return (g.alpha, g.beta, G._zero, g.raw)
+    return (g.alpha, g.beta, G._zero, (0,) + g.coords)
+
+
+class RawK:
+    """K(p^n, p^m) elements as (alpha, beta, raw) with an unreduced ring
+    vector raw, multiplied by ``affine_mul`` with the formal slot unused.
+
+    ``coords`` reads canonical coordinates from the Smith cokernel of the
+    full closure of S, as every element did before the library reduced
+    modulo the norm.
+    """
+
+    def __init__(self, G):
+        self.G = G
+        self.module = closure_module(G)
+
+    def mul(self, g, h):
+        G = self.G
+        a, b, _, c = affine_mul(G, (g[0], g[1], G._zero, g[2]), (h[0], h[1], G._zero, h[2]))
+        return (a, b, c)
+
+    def inv(self, g):
+        """c^-v y^-b x^-a, multiplied out letter by letter."""
+        G = self.G
+        a, b, v = g
+        out = self.mul((0, 0, G._neg(v)), (0, -b, G._zero))
+        return self.mul(out, (-a, 0, G._zero))
+
+    def coords(self, g):
+        return self.module.canonical(g[2])
 
 
 def check_center(G) -> bool:

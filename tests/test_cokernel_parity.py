@@ -4,9 +4,14 @@
 builds its matrices from trusted rows.  The reference below is the former
 body: the U of ``smith_normal_form(relations.transpose())``, with every
 matrix built through the validating ``IntMatrix`` constructor.  Both must
-agree field by field, and give the same canonical coordinates, on every
-K(p^n, p^m) commutator module with N <= 16 and on the abelianizations of
-the catalog groups.
+agree field by field, and give the same canonical coordinates, on the
+abelianizations of the catalog groups.  The K(p^n, p^m) commutator module,
+built from the one norm row, must equal the reference structure of the
+full shift closure of S on every group with N <= 16, and its coordinates
+must be the ones the unreduced arithmetic of ``metab_bruteforce.RawK``
+reads from that closure.  ``ExtensionGroup.center_rank``, now the free
+rank of one cokernel, must match the rank read from the Smith diagonal of
+the stacked phi(q) - I.
 """
 
 import pytest
@@ -19,10 +24,13 @@ from gentorsion.catalog import (
     build_promislow,
     build_wreath,
 )
-from gentorsion.extgroup import ExtensionGroup, abelianization_relations
+from gentorsion.extgroup import (ExtensionGroup, ExtensionSpec, abelianization_relations,
+                                 direct_product)
 from gentorsion.gentor import SplitMix64, random_word_element
 from gentorsion.intlin import AbelianStructure, IntMatrix, cokernel_structure, smith_normal_form
 from gentorsion.metab import build_K
+
+import metab_bruteforce as brute
 
 SMALL_K = ((2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1), (2, 2, 2), (2, 1, 3), (2, 3, 1))
 C2 = [[0, 1], [1, 0]]
@@ -37,6 +45,19 @@ CATALOG = {
     "freeabext1": lambda: build_free_abelianized_extension(FreeAbelExtInput.build(1, C2, [1])),
     "freeabext2": lambda: build_free_abelianized_extension(FreeAbelExtInput.build(2, C2, [1, 1])),
     "freeabext4": lambda: build_free_abelianized_extension(FreeAbelExtInput.build(2, C2xC2, [1, 2])),
+}
+
+
+def z_spec():
+    return ExtensionSpec.build([[0]], [IntMatrix.identity(1)], [[(0,)]], [("t", (0, (1,)))])
+
+
+WITH_PRODUCTS = {
+    **CATALOG,
+    "z": z_spec,
+    "freeabext_c3": lambda: build_free_abelianized_extension(FreeAbelExtInput.build(2, C3, [1, 1])),
+    "promislow x klein": lambda: direct_product(build_promislow(), build_klein_bottle()),
+    "promislow x z": lambda: direct_product(build_promislow(), z_spec()),
 }
 
 
@@ -68,14 +89,20 @@ def assert_same_structure(got: AbelianStructure, want: AbelianStructure):
 @pytest.mark.parametrize("pnm", SMALL_K, ids=lambda pnm: "K:%d,%d,%d" % pnm)
 def test_commutator_module_matches_full_smith_form(pnm):
     G = build_K(*pnm)
-    want = reference_structure(G._consistency_rows())
+    want = reference_structure(brute.consistency_rows(G))
     assert_same_structure(G.module, want)
     want_ab = reference_structure(IntMatrix.diagonal([G.N, G.N]))
     assert_same_structure(G.abelianization(), want_ab)
+    raw = brute.RawK(G)
+    gens = [(1, 0, G._zero), (0, 1, G._zero)]
+    gens += [raw.inv(g) for g in gens]
     rng = SplitMix64(1000 + G.d)
     for _ in range(40):
-        g = random_word_element(G, rng, 16)
-        assert g.coords == want.canonical(g.raw)
+        h = (0, 0, G._zero)
+        for _ in range(rng.randrange(17)):
+            h = raw.mul(h, gens[rng.randrange(4)])
+        g = G._make(*h)
+        assert g.coords == want.canonical(h[2])
         assert G.abelianization().canonical(G.ab_vector(g)) == want_ab.canonical(G.ab_vector(g))
 
 
@@ -89,3 +116,21 @@ def test_catalog_abelianization_matches_full_smith_form(name):
     for _ in range(40):
         v = G.ab_vector(random_word_element(G, rng, 16))
         assert G.abelianization().canonical(v) == want.canonical(v)
+
+
+def reference_center_rank(spec) -> int:
+    """The former body: n minus the rank of the stacked phi(q) - I, read
+    from the full Smith form; n when Q is trivial."""
+    if spec.q_size == 1:
+        return spec.n
+    blocks = [spec.phi[q] - IntMatrix.identity(spec.n) for q in range(1, spec.q_size)]
+    stacked = blocks[0]
+    for block in blocks[1:]:
+        stacked = stacked.vstack(block)
+    return spec.n - sum(1 for d in smith_normal_form(stacked).diagonal() if d != 0)
+
+
+@pytest.mark.parametrize("name", sorted(WITH_PRODUCTS))
+def test_center_rank_matches_full_smith_form(name):
+    spec = WITH_PRODUCTS[name]()
+    assert ExtensionGroup(spec, name=name).center_rank() == reference_center_rank(spec)

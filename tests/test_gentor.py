@@ -11,7 +11,7 @@ from gentorsion.catalog import (
     build_wreath,
 )
 from gentorsion.errors import BackendCapabilityError, GroupInputError
-from gentorsion.extgroup import ExtElement, ExtensionGroup
+from gentorsion.extgroup import ExtElement, ExtensionGroup, direct_product
 from gentorsion.gentor import (
     DirectProductGroup,
     ExponentBounds,
@@ -347,6 +347,16 @@ def test_product_generator_renaming(promislow):
         "1", "x", "y", "x2", "y2", "x*y", "x*x2", "x*y2", "y*x2", "y*y2", "x2*y2",
         "x*y*x2", "x*y*y2", "x*x2*y2", "y*x2*y2", "x*y*x2*y2",
     ]
+
+
+def test_product_renaming_is_shared(promislow):
+    """Backend and spec products rename the right factor's generators alike,
+    also when a renamed name collides again."""
+    nested = DirectProductGroup(DirectProductGroup(promislow, promislow), promislow)
+    spec = direct_product(direct_product(promislow.spec, promislow.spec), promislow.spec)
+    names = ["x", "y", "x2", "y2", "x22", "y22"]
+    assert [n for n, _ in nested.generators] == names
+    assert [n for n, _ in spec.generator_names] == names
 
 
 def test_product_witness(promislow):

@@ -1,25 +1,30 @@
-"""The exact K(p^n, p^m) torsion and centre checks against the brute force.
+"""The K(p^n, p^m) build, arithmetic and exact checks against the brute force.
 
-``MetabGroup`` decides torsion with one divisibility test per line of
-(N/p) Z_N^2 in M's canonical coordinates, and the centre by the
-augmentation of the consistency vectors.  The oracles in
-``metab_bruteforce`` try every residue with stacked d x 5d solves; both
-must give the same answers on every group with N <= 16.  No K has torsion
-or a nontrivial centre, so the other outcome of each check is reached by
-injecting relations into S: torsion at a chosen line residue, and relation
-modules whose centre answer the oracle's rank test decides.
+``MetabGroup`` checks on every build that the relation submodule S is
+Z norm, keeps one reduced vector per element, decides torsion with one
+divisibility test per line of (N/p) Z_N^2 in M's canonical coordinates,
+and the centre by the augmentation of the consistency vectors.  The
+oracles in ``metab_bruteforce`` multiply unreduced vectors and read
+coordinates from the full shift closure of S, and try every residue with
+stacked d x 5d solves; both must give the same answers on every group
+with N <= 16.  No K has torsion or a nontrivial centre, so the other
+outcome of each check is reached by injection: power relations x^N or
+y^N set to p-th powers in M, and relation modules whose centre answer the
+oracle's rank test decides.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gentorsion.cli import run
 from gentorsion.errors import TheoremViolationError
-from gentorsion.gentor import SplitMix64
-from gentorsion.intlin import cokernel_structure
-from gentorsion.metab import build_K
+from gentorsion.gentor import _UNSET, SplitMix64
+from gentorsion.metab import SIZE_CAP, MetabGroup, _is_prime, build_K
 
 import metab_bruteforce as brute
 
 SMALL = ((2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1), (2, 2, 2), (2, 1, 3))
+UP_TO_16 = SMALL + ((2, 3, 1),)
 INJECTED = ((2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1))
 SHIFTED = ((2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1))
 
@@ -45,7 +50,103 @@ def line_power(G, a, b):
 def set_relations(G, vectors):
     """Replace the generators of S and rebuild M from their shift closure."""
     G._relations = tuple(vectors)
-    G.module = cokernel_structure(G._consistency_rows())
+    G.module = brute.closure_module(G)
+
+
+def test_every_group_under_the_cap_builds():
+    """All 44 K with N <= SIZE_CAP pass the S = Z norm check, and M's
+    canonical coordinates are the entries v_k - v_0 that elements store."""
+    groups = [(p, n, s - n) for p in range(2, SIZE_CAP + 1) if _is_prime(p)
+              for s in range(2, SIZE_CAP.bit_length()) if p**s <= SIZE_CAP for n in range(1, s)]
+    assert len(groups) == 44
+    rng = SplitMix64(44)
+    for pnm in groups:
+        G = build_K(*pnm)
+        assert G.module.free_rank == G.d - 1
+        assert G.module.invariant_factors == ()
+        v = rand_vec(rng, G.d)
+        assert G.commutator_element(v).coords == G.module.canonical(v) == tuple(
+            x - v[0] for x in v[1:]), pnm
+
+
+def _not_a_multiple(G, vectors):
+    return (G._add(vectors[0], G.monomial(1, 0)),) + vectors[1:]
+
+
+@pytest.mark.parametrize("tamper", [
+    _not_a_multiple,
+    lambda G, vectors: tuple(G._scale(v, G.p) for v in vectors),
+    lambda G, vectors: tuple(G._zero for _ in vectors),
+], ids=["not-constant", "gcd-p", "zero"])
+@pytest.mark.parametrize("pnm", ((2, 1, 1), (3, 1, 1)), ids=group_id)
+def test_build_rejects_relations_other_than_z_norm(monkeypatch, pnm, tamper):
+    """A consistency vector off the norm line, or multiples of gcd p or 0
+    (M with torsion, or norm outside S), is a theorem violation."""
+    collect = MetabGroup._consistency_vectors
+    monkeypatch.setattr(MetabGroup, "_consistency_vectors", lambda G: tamper(G, collect(G)))
+    with pytest.raises(TheoremViolationError):
+        build_K(*pnm)
+
+
+def test_cli_exits_3_when_the_relations_are_not_z_norm(monkeypatch, capsys):
+    collect = MetabGroup._consistency_vectors
+    monkeypatch.setattr(MetabGroup, "_consistency_vectors",
+                        lambda G: _not_a_multiple(G, collect(G)))
+    assert run(["info", "K:2,1,1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal invariant violation:" in captured.err
+
+
+@pytest.mark.parametrize("pnm", UP_TO_16, ids=group_id)
+def test_arithmetic_agrees_with_unreduced_oracle(pnm):
+    """Products and inverses of seeded normal forms against the unreduced
+    arithmetic, with coordinates read from the full closure of S."""
+    G = build_K(*pnm)
+    raw = brute.RawK(G)
+    rng = SplitMix64(7 + seed_of(pnm))
+
+    def draw():
+        return (rng.randrange(G.N), rng.randrange(G.N), rand_vec(rng, G.d))
+
+    for _ in range(40):
+        g, h = draw(), draw()
+        assert G._make(*g).coords == raw.coords(g)
+        for want, got in ((raw.mul(g, h), G.mul(G._make(*g), G._make(*h))),
+                          (raw.inv(g), G.inv(G._make(*g)))):
+            assert (got.alpha, got.beta, got.coords) == (want[0], want[1], raw.coords(want))
+
+
+oracle_settings = settings(derandomize=True, deadline=None, max_examples=25)
+letters = st.lists(st.integers(0, 3), max_size=12)
+
+
+@pytest.mark.parametrize("pnm", UP_TO_16, ids=group_id)
+def test_words_agree_with_unreduced_oracle(pnm):
+    """Words in x, y and their inverses, multiplied out by both arithmetics:
+    the product of two words and its inverse have the same normal form."""
+    G = build_K(*pnm)
+    raw = brute.RawK(G)
+    raw_gens = [(1, 0, G._zero), (0, 1, G._zero)]
+    raw_gens += [raw.inv(g) for g in raw_gens]
+    gens = [e for _, e in G.generators]
+    gens += [G.inv(e) for e in gens]
+
+    def both(word):
+        h, g = (0, 0, G._zero), G.identity()
+        for i in word:
+            h, g = raw.mul(h, raw_gens[i]), G.mul(g, gens[i])
+        return h, g
+
+    @oracle_settings
+    @given(letters, letters)
+    def check(u, w):
+        (hu, gu), (hw, gw) = both(u), both(w)
+        for want, got in ((raw.mul(hu, hw), G.mul(gu, gw)),
+                          (raw.inv(raw.mul(hu, hw)), G.inv(G.mul(gu, gw)))):
+            assert (got.alpha, got.beta, got.coords) == (want[0], want[1], raw.coords(want))
+
+    check()
 
 
 @pytest.mark.parametrize("pnm", SHIFTED, ids=group_id)
@@ -107,36 +208,30 @@ def test_line_residue_power_is_p_w_plus_c(pnm):
             assert got == tuple(G.p * x + y for x, y in zip(w, c)), (a, b, w)
 
 
-@pytest.mark.parametrize("pnm", INJECTED, ids=group_id)
+@pytest.mark.parametrize("pnm", INJECTED + ((5, 1, 1),), ids=group_id)
 def test_injected_torsion_has_a_witness(pnm):
-    """Adding c + p u to S gives x^a y^b c^u order p at a chosen line residue.
+    """Setting g3, g4 or both to p u after the build makes x^N = c^{p u}
+    (or y^N) a p-th power in M, so some line residue has a witness.
 
-    M then has torsion, and the divisibility test is exact when p divides
-    every invariant factor (p v_i + c_i = 0 mod d_i is solvable iff p
-    divides c_i), so only those draws are kept.  The witness found, at this
-    residue or an earlier one, must have order p.
+    The witness found must have order p, and over the draws it must occur
+    both at residues with a = 0 and with a != 0.
     """
     rng = SplitMix64(505 + seed_of(pnm))
-    injected_kinds = set()
-    kept = 0
-    for _ in range(30):
+    kinds = set()
+    for _ in range(12):
         G = build_K(*pnm)
-        residues = G._torsion_residues()
-        a, b = residues[rng.randrange(len(residues))]
-        c = line_power(G, a, b).raw
-        u = rand_vec(rng, G.d)
-        set_relations(G, G._relations + (G._add(c, G._scale(u, G.p)),))
-        if any(f % G.p for f in G.module.invariant_factors):
-            continue
-        kept += 1
-        assert G.pow(G._make(a, b, u), G.p) == G.identity()
+        which = rng.randrange(3)
+        if which != 1:
+            G.g3 = G._scale(rand_vec(rng, G.d), G.p)
+        if which != 0:
+            G.g4 = G._scale(rand_vec(rng, G.d), G.p)
+        G._torsion = _UNSET
         w = G.torsion_witness()
-        assert w is not None, (a, b, u)
-        assert w != G.identity() and G.pow(w, G.p) == G.identity(), (a, b, u)
+        assert w is not None, which
+        assert w != G.identity() and G.pow(w, G.p) == G.identity(), which
         assert not G.is_torsion_free()
-        injected_kinds.add(a == 0)
-    assert kept >= 10
-    assert injected_kinds == {True, False}
+        kinds.add(w.alpha == 0)
+    assert kinds == {True, False}
 
 
 @pytest.mark.parametrize("pnm", INJECTED, ids=group_id)
