@@ -76,10 +76,7 @@ def resolve_group(address: str):
         return ExtensionGroup(spec, name=address)
     if address.startswith("spec:"):
         path = address[len("spec:"):]
-        data = _load_json(path)
-        with _shape_errors(path, "an extension spec object"):
-            spec = spec_from_dict(data)
-        return ExtensionGroup(spec, name=address)
+        return ExtensionGroup(spec_from_dict(_load_json(path)), name=address)
     raise GroupInputError(f"unknown group address {address!r}")
 
 

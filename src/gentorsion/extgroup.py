@@ -370,18 +370,18 @@ def spec_from_dict(data: dict) -> ExtensionSpec:
 
     Generator order follows the order of keys in the ``generators`` object
     (JSON objects are read in document order), which fixes transversal
-    words and all derived certificates.
+    words and all derived certificates.  Every shape or type error from
+    reading the data, including those ``ExtensionSpec.build`` raises on
+    non-integer entries, becomes GroupInputError here.
     """
     try:
-        q_table = data["q_table"]
         n = int(data["n"])
-        phi = data["phi"]
-        coc = data["coc"]
         generators = [(name, (entry["q"], entry["a"])) for name, entry in data["generators"].items()]
-    except (KeyError, TypeError) as exc:
-        raise GroupInputError(f"malformed group spec: {exc}") from None
-    spec = ExtensionSpec.build(q_table, phi, coc, generators)
-    if "q_size" in data and int(data["q_size"]) != spec.q_size:
+        spec = ExtensionSpec.build(data["q_table"], data["phi"], data["coc"], generators)
+        q_size = int(data["q_size"]) if "q_size" in data else spec.q_size
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise GroupInputError(f"malformed group spec: {exc!r}") from None
+    if q_size != spec.q_size:
         raise GroupInputError("q_size disagrees with the q_table")
     if spec.n != n:
         raise GroupInputError("n disagrees with the phi matrices")

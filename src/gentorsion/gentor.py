@@ -167,6 +167,8 @@ class SplitMix64:
 def random_word_element(G, rng: SplitMix64, max_length: int = 12):
     """Product of up to ``max_length`` random generators or inverses."""
     gens = [g for _, g in G.generators]
+    if not gens:
+        raise GroupInputError("sampling elements needs at least one generator")
     out = G.identity()
     for _ in range(1 + rng.randrange(max_length)):
         pick = rng.randrange(2 * len(gens))
@@ -269,18 +271,17 @@ def _power_word(base_word: str, i: int) -> str:
 
 
 def witness_construct(G, g, base_word: str = "g") -> WitnessCertificate:
-    """Certificate with conjugator list of length [G:A] (or k*[G:A]).
+    """Certificate with a conjugator list of length [G:A].
 
-    Two constructions, both reduced to the fact that the product over a
-    transversal of a translation is a central translation of finite order,
-    hence trivial in a torsion-free lattice part:
-
-    * G^ab finite: with n the order of gA, conjugate by g^i * s for s in
-      a transversal of the cosets of A<g> and 0 <= i < n; these run once
-      over the cosets of A.  g in A is the case n = 1, a full labeled
-      transversal.
-    * G^ab infinite: with k the order of gA, take the certificate of
-      g^k in A and expand each conjugate (g^k)^s into k copies of g^s.
+    With n the order of gA, conjugate by g^i * s for s in a transversal
+    T' of the cosets of A<g> and 0 <= i < n.  These T = {g^i * s} run once
+    over the cosets of A, and g^(g^i * s) = g^s, so the product is
+    P = prod_{s in T'} (g^n)^s, a translation.  As g commutes with g^n,
+    P^n = prod_{t in T} (g^n)^t = N_T(g^n), the transfer of g^n into A.
+    The transfer factors through G^ab, where g^n is torsion, so N_T(g^n)
+    has finite order in the torsion-free A and is trivial; so is P.  g in
+    A is the case n = 1, a full labeled transversal.  Nothing here needs
+    G^ab finite.
 
     The product is re-multiplied before returning; a nontrivial result
     raises TheoremViolationError since it contradicts the construction.
@@ -288,40 +289,32 @@ def witness_construct(G, g, base_word: str = "g") -> WitnessCertificate:
     _require(G, "coset", "labeled_transversal")
     gen_order_lower_bound(G, g)  # raises when g is not generalized torsion
     n = G.order_mod_translation(g)
-    pairs = G.labeled_transversal()
-
-    if G.abelianization().is_finite:
-        powers = [G.identity()]
-        for _ in range(1, n):
-            powers.append(G.mul(powers[-1], g))
-        covered = set()
-        words = []
-        conjugators = []
-        for w, s in pairs:
-            if G.coset(s) in covered:
-                continue
-            for i in range(n):
-                if i == 0:
-                    words.append(w)
-                    x = s
-                else:
-                    pw = _power_word(base_word, i)
-                    words.append(pw if w == "1" else f"{pw}*{w}")
-                    x = G.mul(powers[i], s)
-                conjugators.append(x)
-                covered.add(G.coset(x))
-        words = tuple(words)
-        conjugators = tuple(conjugators)
-    else:
-        words = tuple(w for w, _ in pairs for _ in range(n))
-        conjugators = tuple(s for _, s in pairs for _ in range(n))
+    powers = [G.identity()]
+    for _ in range(1, n):
+        powers.append(G.mul(powers[-1], g))
+    covered = set()
+    words = []
+    conjugators = []
+    for w, s in G.labeled_transversal():
+        if G.coset(s) in covered:
+            continue
+        for i in range(n):
+            if i == 0:
+                words.append(w)
+                x = s
+            else:
+                pw = _power_word(base_word, i)
+                words.append(pw if w == "1" else f"{pw}*{w}")
+                x = G.mul(powers[i], s)
+            conjugators.append(x)
+            covered.add(G.coset(x))
 
     if not _verify_product(G, (g,), conjugators):
         raise TheoremViolationError(
             "constructed witness product is not the identity; "
             "the transversal argument failed"
         )
-    return WitnessCertificate(g, conjugators, words, len(conjugators), True)
+    return WitnessCertificate(g, tuple(conjugators), tuple(words), len(conjugators), True)
 
 
 # -- positive identities --------------------------------------------------

@@ -66,6 +66,10 @@ class Comm:
     right: object
 
 
+# str.isdigit also accepts characters such as "²" that int() rejects
+_DIGITS = frozenset("0123456789")
+
+
 def _tokenize(text: str):
     toks = []
     i = 0
@@ -80,9 +84,9 @@ def _tokenize(text: str):
                 j += 1
             toks.append(("name", text[i:j], i))
             i = j
-        elif ch.isdigit():
+        elif ch in _DIGITS:
             j = i + 1
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             toks.append(("int", text[i:j], i))
             i = j

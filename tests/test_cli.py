@@ -256,6 +256,21 @@ def test_identity_spec_without_full_generators(tmp_path, capsys):
     assert "generators do not reach every coset" in err
 
 
+def test_identity_sampled_spec_without_generators(tmp_path, capsys):
+    # sampling needs a generator to draw words from; the universal run
+    # evaluates over the zero section and needs none
+    data = spec_to_dict(build_dihedral_infinite())
+    data["generators"] = {}
+    path = tmp_path / "dinf_bare.json"
+    path.write_text(json.dumps(data))
+    code, out, err = invoke(capsys, "identity", f"spec:{path}", "--samples", "5")
+    assert code == 2 and out == ""
+    assert "error:" in err and "generator" in err
+    code, out, _ = invoke(capsys, "identity", f"spec:{path}")
+    assert code == 0
+    assert "verified=true" in out
+
+
 def test_seed_precedence(capsys, monkeypatch):
     monkeypatch.setenv("GENTOR_SEED", "123")
     code, out, _ = invoke(capsys, "identity", "K:2,1,1", "--samples", "10")
@@ -287,6 +302,31 @@ def test_validate(tmp_path, capsys):
     assert "failure:" in out
 
 
+def _set_n(data):
+    data["n"] = "x"
+
+
+def _set_phi_entry(data):
+    data["phi"][0][0][0] = "a"
+
+
+def _set_generator_lattice_part(data):
+    data["generators"]["a"]["a"] = 5
+
+
+@pytest.mark.parametrize("corrupt", [_set_n, _set_phi_entry, _set_generator_lattice_part])
+def test_malformed_spec_content(tmp_path, capsys, corrupt):
+    # validate and spec: share one parser, so both take the exit-2 path
+    data = spec_to_dict(build_dihedral_infinite())
+    corrupt(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    for argv in (["validate", str(path)], ["info", f"spec:{path}"]):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: malformed group spec")
+
+
 def test_spec_file_address(tmp_path, capsys):
     path = tmp_path / "p.json"
     path.write_text(json.dumps(spec_to_dict(build_promislow())))
@@ -309,6 +349,13 @@ def test_wreath_file_address(tmp_path, capsys):
     code, out, _ = invoke(capsys, "decide", f"wreath:{path}", "t*(t^-1)^s1")
     assert code == 0
     assert "generalized_torsion=true" in out
+
+    # G^ab is infinite and s1 lies outside A; the certificate still has
+    # length [G:A] = 2
+    code, out, _ = invoke(capsys, "witness", f"wreath:{path}", "s1")
+    assert code == 0
+    assert '"length": 2' in out
+    assert json.loads(out)["conjugator_words"] == ["1", "s1"]
 
 
 def test_freeabext_file_address(tmp_path, capsys):
@@ -339,6 +386,10 @@ def test_input_errors(tmp_path, capsys):
 
     code, _, err = invoke(capsys, "decide", "promislow", "nope")
     assert code == 2 and "error:" in err
+
+    code, out, err = invoke(capsys, "decide", "promislow", "x^\u00b2")
+    assert code == 2 and out == ""
+    assert "error:" in err and "position 2" in err
 
     code, _, err = invoke(capsys, "decide", "gamma", "e")
     assert code == 2 and "error:" in err

@@ -73,6 +73,13 @@ def test_random_word_element_deterministic(promislow):
     assert a != c
 
 
+def test_random_word_element_needs_a_generator(promislow):
+    G = ExtensionGroup(promislow.spec, name="no generators")
+    G.generators = ()
+    with pytest.raises(GroupInputError, match="at least one generator"):
+        random_word_element(G, SplitMix64(5))
+
+
 # -- decisions and bounds --------------------------------------------------
 
 
@@ -169,12 +176,13 @@ def test_witness_klein_lattice_part(klein):
 
 
 def test_witness_wreath_point_part(wreath2):
-    # infinite abelianization: k copies of each transversal conjugator
+    # infinite abelianization, s1 outside A: the g^i * s construction
+    # still runs once over the two cosets, s1 * s1^s1 = 1
     G = wreath2
     cert = witness_construct(G, gens(G)["s1"], base_word="s1")
     check_cert(G, cert)
-    assert cert.length == 4
-    assert cert.words == ("1", "1", "s1", "s1")
+    assert cert.length == 2
+    assert cert.words == ("1", "s1")
 
 
 def test_witness_words_evaluate_to_conjugators(promislow):

@@ -53,6 +53,14 @@ def test_syntax_errors_carry_position():
         assert "position" in str(info.value)
 
 
+@pytest.mark.parametrize("text", ["x^\u00b2", "x^\u0663", "x^2\u00b2"])
+def test_only_ascii_digits_are_integers(text):
+    # str.isdigit accepts these, int() does not; they are syntax errors
+    with pytest.raises(WordSyntaxError) as info:
+        parse_word(text)
+    assert info.value.position == len(text) - 1
+
+
 def test_print_examples():
     assert print_word(Ident()) == "1"
     assert print_word(Mul((Gen("x"), Pow(Gen("y"), -1)))) == "x*y^-1"
