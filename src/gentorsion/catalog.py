@@ -69,9 +69,7 @@ def build_wreath(q_table) -> ExtensionSpec:
         phi.append(mat)
     zero = [0] * n
     coc = [[list(zero) for _ in range(n)] for _ in range(n)]
-    t = [0] * n
-    t[0] = 1
-    generators = [("t", (0, t))]
+    generators = [("t", (0, [int(h == 0) for h in range(n)]))]
     for q in range(1, n):
         generators.append((f"s{q}", (q, list(zero))))
     spec = ExtensionSpec.build(table, phi, coc, generators)

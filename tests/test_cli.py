@@ -440,6 +440,25 @@ def test_malformed_file_shapes(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
+def test_empty_point_group(tmp_path, capsys):
+    # an empty table has no identity: a validation failure, not a traceback
+    spec = tmp_path / "empty.json"
+    spec.write_text(json.dumps({"q_table": [], "phi": [], "coc": [], "generators": {}, "n": 0}))
+    code, out, err = invoke(capsys, "validate", str(spec))
+    assert code == 2 and err == ""
+    assert out.splitlines() == ["valid=false", "failure: q_table is empty; index 0 must be the identity"]
+
+    code, out, err = invoke(capsys, "info", f"spec:{spec}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid extension spec: q_table is empty")
+
+    table = tmp_path / "empty_table.json"
+    table.write_text("[]")
+    code, out, err = invoke(capsys, "info", f"wreath:{table}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid multiplication table: q_table is empty")
+
+
 def test_usage_errors(capsys):
     assert run([]) == 2
     capsys.readouterr()

@@ -1,0 +1,212 @@
+"""Extension checks on a generating set of Q against the full checks.
+
+``validate_extension``, ``abelianization_relations`` and
+``ExtensionGroup.center_rank`` quantify over a generating set S of the
+point group (``point_generating_set``).  ``extension_bruteforce`` keeps the
+former checks over every pair and triple; both must accept the same specs,
+give the same G^ab and the same centre rank on catalog specs and products
+up to |Q| = 16, and agree on ``ok`` when one entry of a catalog spec is
+corrupted.  The library's failure lines are the oracle's lines whose last
+index lies in S, in the oracle's order.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gentorsion.catalog import (
+    FreeAbelExtInput,
+    build_dihedral_infinite,
+    build_free_abelianized_extension,
+    build_klein_bottle,
+    build_promislow,
+    build_wreath,
+)
+from gentorsion.extgroup import (
+    ExtensionGroup,
+    ExtensionSpec,
+    abelianization_relations,
+    direct_product,
+    point_generating_set,
+    spec_from_dict,
+    spec_to_dict,
+    validate_extension,
+)
+from gentorsion.gentor import SplitMix64, random_word_element
+from gentorsion.intlin import cokernel_structure
+
+import extension_bruteforce as brute
+
+C3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+S3 = [[0, 1, 2, 3, 4, 5], [1, 2, 0, 5, 3, 4], [2, 0, 1, 4, 5, 3],
+      [3, 4, 5, 0, 1, 2], [4, 5, 3, 2, 0, 1], [5, 3, 4, 1, 2, 0]]
+NON_ASSOC = [[0, 1, 2], [1, 2, 0], [2, 1, 0]]
+
+
+def freeabext(table, images):
+    return build_free_abelianized_extension(FreeAbelExtInput.build(2, table, images))
+
+
+SPECS = {
+    "dinf": build_dihedral_infinite,
+    "klein": build_klein_bottle,
+    "promislow": build_promislow,
+    "wreath C3": lambda: build_wreath(C3),
+    "wreath S3": lambda: build_wreath(S3),
+    "freeabext C3": lambda: freeabext(C3, [1, 1]),
+    "freeabext S3": lambda: freeabext(S3, [1, 3]),
+    "dinf x wreath C3": lambda: direct_product(build_dihedral_infinite(), build_wreath(C3)),
+    "promislow x klein": lambda: direct_product(build_promislow(), build_klein_bottle()),
+    "wreath S3 x dinf": lambda: direct_product(build_wreath(S3), build_dihedral_infinite()),
+    "promislow x promislow": lambda: direct_product(build_promislow(), build_promislow()),
+    "dinf x klein x dinf x dinf": lambda: direct_product(
+        direct_product(build_dihedral_infinite(), build_klein_bottle()),
+        direct_product(build_dihedral_infinite(), build_dihedral_infinite())),
+}
+BUILT = {name: build() for name, build in SPECS.items()}
+
+
+def reaches_all(table, gens) -> bool:
+    """Whether right products of gens from 0 reach every index."""
+    seen, todo = {0}, [0]
+    while todo:
+        x = todo.pop()
+        for s in gens:
+            if table[x][s] not in seen:
+                seen.add(table[x][s])
+                todo.append(table[x][s])
+    return len(seen) == len(table)
+
+
+def assert_generating_set(spec):
+    gens = point_generating_set(spec)
+    assert 0 not in gens and len(set(gens)) == len(gens)
+    assert reaches_all(spec.q_table, gens)
+    return gens
+
+
+# -- the generating set ----------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_generating_set_of_catalog_specs(name):
+    spec = BUILT[name]
+    gens = assert_generating_set(spec)
+    assert len(gens) <= max(1, spec.q_size.bit_length())
+    assert list(gens) == sorted(gens)
+    # the first generator with a nonzero point part is always kept
+    first = next((g.q for _, g in spec.generator_names if g.q), None)
+    assert first is None or first in gens
+
+
+def test_generating_set_without_generators():
+    spec = ExtensionSpec.build(NON_ASSOC, [[[1]]] * 3, [[(0,)] * 3 for _ in range(3)], [])
+    assert assert_generating_set(spec) == (1,)
+
+
+def test_generating_set_of_trivial_point_group():
+    spec = ExtensionSpec.build([[0]], [[[1]]], [[(0,)]], [("z", (0, (1,)))])
+    assert point_generating_set(spec) == ()
+
+
+def test_generating_set_skips_identity_generators():
+    spec = build_wreath(C3)  # t has point part 0, s1 and s2 are 1 and 2
+    assert spec.generator_names[0][1].q == 0
+    assert assert_generating_set(spec) == (1,)
+
+
+def test_generating_set_completes_non_generating_generators():
+    data = spec_to_dict(build_promislow())
+    name, entry = next(iter(data["generators"].items()))
+    data["generators"] = {name: entry}
+    spec = spec_from_dict(data)
+    gens = assert_generating_set(spec)
+    assert entry["q"] in gens and len(gens) == 2
+    assert not reaches_all(spec.q_table, [entry["q"]])
+
+
+def test_generating_set_empty_table():
+    assert point_generating_set(ExtensionSpec.build([], [], [], [])) == ()
+
+
+# -- differential tests against the full checks ----------------------------
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_validation_matches_full_checks(name):
+    spec = BUILT[name]
+    assert spec.q_size <= 16
+    assert validate_extension(spec).ok and brute.validate_extension(spec).ok
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_abelianization_matches_full_relations(name):
+    spec = BUILT[name]
+    G = ExtensionGroup(spec, name=name)
+    got = G.abelianization()
+    want = cokernel_structure(brute.abelianization_relations(spec))
+    assert got.invariant_factors == want.invariant_factors
+    assert got.free_rank == want.free_rank
+    rng = SplitMix64(3000 + spec.q_size)
+    elements = [g for _, g in G.generators] + [random_word_element(G, rng, 12) for _ in range(20)]
+    for g in elements:
+        v = G.ab_vector(g)
+        assert got.order_of(v) == want.order_of(v)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_center_rank_matches_all_rows(name):
+    spec = BUILT[name]
+    assert ExtensionGroup(spec, name=name).center_rank() == brute.center_rank(spec)
+
+
+def test_abelianization_row_count():
+    for spec in BUILT.values():
+        k = len(point_generating_set(spec))
+        assert abelianization_relations(spec).rows == spec.q_size * k + spec.n * k + 1
+
+
+# -- corrupted specs -------------------------------------------------------
+
+CORRUPTIBLE = ("dinf", "klein", "promislow", "wreath C3", "wreath S3", "promislow x klein")
+corrupt_settings = settings(derandomize=True, deadline=None, max_examples=150)
+
+
+def checked_lines(spec, lines):
+    """The oracle's failure lines that the library checks too: every line
+    not naming a pair or triple, and those whose last index is in S."""
+    gens = set(point_generating_set(spec))
+    kept = []
+    for line in lines:
+        if line.endswith(")") and " at (" in line:
+            *_, last = line[line.rindex("(") + 1:-1].split(",")
+            if int(last) not in gens:
+                continue
+        kept.append(line)
+    return kept
+
+
+@corrupt_settings
+@given(st.sampled_from(CORRUPTIBLE), st.sampled_from(("table", "phi", "coc")),
+       st.integers(0, 10**6), st.integers(-2, 2))
+def test_single_entry_corruption_agrees_with_full_checks(name, kind, pick, delta):
+    data = spec_to_dict(BUILT[name])
+    qs, n = data["q_size"], data["n"]
+    q, r = pick % qs, pick // qs % qs
+    i, j = pick // qs ** 2 % n, pick // (qs ** 2 * n) % n
+    if kind == "table":
+        data["q_table"][q][r] = (data["q_table"][q][r] + delta) % qs
+    elif kind == "phi":
+        data["phi"][q][i][j] += delta
+    else:
+        data["coc"][q][r][i] += delta
+    spec = spec_from_dict(data)
+    got, want = validate_extension(spec), brute.validate_extension(spec)
+    assert got.ok == want.ok
+    assert list(got.failures) == checked_lines(spec, want.failures)
+
+
+def test_broken_klein_names_the_checked_triple():
+    data = spec_to_dict(build_klein_bottle())
+    data["coc"][1][1] = [1, 1]
+    report = validate_extension(spec_from_dict(data))
+    assert report.failures == ("cocycle identity fails at (1,1,1)",)
