@@ -6,6 +6,17 @@ positive-identity construction and verification (universal or sampled),
 and a bounded minimal-order search, over interchangeable backends:
 crystallographic extension data, the metabelian K(p^n, p^m) collection
 engine, and a group-ring semidirect product for sampled-only checks.
+
+Value types (elements, specs, reports, certificates, word nodes) are
+``collections.namedtuple`` subclasses, not dataclasses: a dataclass
+compiles generated source for every class at import, and importing
+``dataclasses`` loads ``inspect`` and ``ast`` with it, which together
+cost more than most CLI commands compute.  They stay immutable, keep
+their positional constructors, field names and reprs, and compare and
+hash as tuples of their fields.  Word nodes compare with their class as
+well, so ``Conj(a, b) != Comm(a, b)``.  Nothing here imports ``typing``
+or ``importlib.resources``; data files are read through the catalog
+module's own loader.
 """
 
 from .catalog import (

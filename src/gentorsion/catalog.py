@@ -11,14 +11,15 @@ group that is not abelian-by-finite.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from importlib import resources
+import os
+from collections import namedtuple
 
 from .errors import GroupInputError, TheoremViolationError
 from .extgroup import (
     ExtElement,
     ExtensionGroup,
     ExtensionSpec,
+    point_table_failures,
     spec_from_dict,
     validate_extension,
 )
@@ -28,8 +29,10 @@ from .metab import MetabGroup, build_K
 
 
 def _load_spec(filename: str) -> ExtensionSpec:
-    text = resources.files("gentorsion").joinpath("data").joinpath(filename).read_text()
-    return spec_from_dict(json.loads(text))
+    # The module's own loader reads package data from plain, editable and
+    # zipped installs alike, without importing importlib.resources.
+    path = os.path.join(os.path.dirname(__file__), "data", filename)
+    return spec_from_dict(json.loads(__spec__.loader.get_data(path)))
 
 
 def build_dihedral_infinite() -> ExtensionSpec:
@@ -58,8 +61,15 @@ def build_wreath(q_table) -> ExtensionSpec:
     the extension splits, so the cocycle is zero.  Generators: ``t`` for
     the basis translation at the identity and ``s<i>`` for each
     nonidentity element of Q.
+
+    Only the table is checked here: the regular representation with a
+    zero cocycle is a valid spec exactly when the table is a group table,
+    and ``ExtensionGroup`` validates the whole spec when it is built.
     """
     table = [list(map(int, row)) for row in q_table]
+    failures = point_table_failures(table)
+    if failures:
+        raise GroupInputError("invalid multiplication table: " + "; ".join(failures[:3]))
     n = len(table)
     phi = []
     for q in range(n):
@@ -72,20 +82,13 @@ def build_wreath(q_table) -> ExtensionSpec:
     generators = [("t", (0, [int(h == 0) for h in range(n)]))]
     for q in range(1, n):
         generators.append((f"s{q}", (q, list(zero))))
-    spec = ExtensionSpec.build(table, phi, coc, generators)
-    report = validate_extension(spec)
-    if not report.ok:
-        raise GroupInputError("invalid multiplication table: " + "; ".join(report.failures[:3]))
-    return spec
+    return ExtensionSpec.build(table, phi, coc, generators)
 
 
-@dataclass(frozen=True)
-class FreeAbelExtInput:
+class FreeAbelExtInput(namedtuple("FreeAbelExtInput", "rank q_table images")):
     """Free rank, finite target Q as a table, and the generator images."""
 
-    rank: int
-    q_table: tuple
-    images: tuple
+    __slots__ = ()
 
     @classmethod
     def build(cls, rank: int, q_table, images) -> "FreeAbelExtInput":
@@ -211,11 +214,10 @@ def build_free_abelianized_extension(inp: FreeAbelExtInput) -> ExtensionSpec:
 # -- group-ring backend ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroupRingElement:
+class GroupRingElement(namedtuple("GroupRingElement", "items")):
     """Finite-support integer combination of group elements (sorted items)."""
 
-    items: tuple
+    __slots__ = ()
 
     @classmethod
     def from_pairs(cls, pairs) -> "GroupRingElement":
@@ -236,11 +238,8 @@ class GroupRingElement:
         return sum(c for _, c in self.items)
 
 
-@dataclass(frozen=True)
-class GammaElement:
-    ring: GroupRingElement
-    g: ExtElement
-    h: ExtElement
+class GammaElement(namedtuple("GammaElement", "ring g h")):
+    __slots__ = ()
 
 
 class CasoloGroup:
@@ -267,6 +266,15 @@ class CasoloGroup:
             for _, g in self.P.generators
         ):
             raise TheoremViolationError("no generator maps onto the sign character")
+        if ab.moduli[self._sign_coord] % 2:
+            raise TheoremViolationError("the sign coordinate has odd modulus")
+        # The modulus is even or 0, so the coordinate's parity is the parity
+        # of its row of to_canonical against ab_vector(h) = h.a + e_{h.q}:
+        # the odd lattice positions, summed, plus a parity per point index.
+        row = ab.to_canonical.row(self._sign_coord)
+        n = self.P.spec.n
+        self._sign_lattice = tuple(i for i in range(n) if row[i] % 2)
+        self._sign_point = tuple(x % 2 for x in row[n:])
         delta = GroupRingElement.from_pairs([(self.P.identity(), 1)])
         one = self.P.identity()
         x = dict(self.P.generators)["x"]
@@ -280,8 +288,9 @@ class CasoloGroup:
         )
 
     def sign(self, h: ExtElement) -> int:
-        ab = self.P.abelianization()
-        return -1 if ab.canonical(self.P.ab_vector(h))[self._sign_coord] % 2 else 1
+        a = h.a
+        odd = self._sign_point[h.q] + sum(a[i] for i in self._sign_lattice)
+        return -1 if odd % 2 else 1
 
     def _translate(self, g: ExtElement, r: GroupRingElement) -> GroupRingElement:
         return GroupRingElement(

@@ -19,9 +19,8 @@ phrased against this one convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import lcm
-from typing import NamedTuple
 
 from .errors import GroupInputError
 from .gentor import (_UNSET, _free_name, _verify_product, conjugate, labeled_transversal,
@@ -29,9 +28,8 @@ from .gentor import (_UNSET, _free_name, _verify_product, conjugate, labeled_tra
 from .intlin import IntMatrix, cokernel_structure, solve_integer_linear
 
 
-class ExtElement(NamedTuple):
-    q: int
-    a: tuple
+class ExtElement(namedtuple("ExtElement", "q a")):
+    __slots__ = ()
 
 
 def _vec(v) -> tuple:
@@ -46,14 +44,8 @@ def _vneg(v) -> tuple:
     return tuple(-x for x in v)
 
 
-@dataclass(frozen=True)
-class ExtensionSpec:
-    q_size: int
-    q_table: tuple
-    n: int
-    phi: tuple
-    coc: tuple
-    generator_names: tuple
+class ExtensionSpec(namedtuple("ExtensionSpec", "q_size q_table n phi coc generator_names")):
+    __slots__ = ()
 
     @classmethod
     def build(cls, q_table, phi, coc, generators) -> "ExtensionSpec":
@@ -72,9 +64,8 @@ class ExtensionSpec:
         return cls(q_size, table, n, mats, cocs, gens)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    failures: tuple
+class ValidationReport(namedtuple("ValidationReport", "failures")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -95,13 +86,17 @@ def point_generating_set(spec: ExtensionSpec) -> tuple:
     the identity row, since a candidate q left unreached is then reached as
     0 q.
     """
-    table, qs = spec.q_table, spec.q_size
+    return _generating_points(spec.q_table, [g.q for _, g in spec.generator_names])
+
+
+def _generating_points(table, firsts) -> tuple:
+    qs = len(table)
     if not qs:
         return ()
     picked = []
     reached = [True] + [False] * (qs - 1)
     expanded = [0]  # reached indices already multiplied by every picked index
-    candidates = [g.q for _, g in spec.generator_names if 0 < g.q < qs]
+    candidates = [q for q in firsts if 0 < q < qs]
     for s in dict.fromkeys(candidates + list(range(1, qs))):
         if reached[s]:
             continue
@@ -121,6 +116,40 @@ def point_generating_set(spec: ExtensionSpec) -> tuple:
                     reached[y] = True
                     frontier.append(y)
     return tuple(sorted(picked))
+
+
+def point_table_failures(table, firsts=()) -> tuple:
+    """Why ``table`` is not a group table with identity 0; () when it is.
+
+    Checks the shape, the range of the entries, that index 0 is the
+    identity, associativity by Light's test on S (see
+    ``validate_extension``; ``firsts`` are the point indices S tries
+    first, as in ``point_generating_set``) and that every index has an
+    inverse.  A shape or range failure is reported alone.
+    """
+    qs = len(table)
+    if qs == 0:
+        return ("q_table is empty; index 0 must be the identity",)
+    if any(len(row) != qs for row in table):
+        return (f"q_table must be {qs}x{qs}",)
+    if any(not (0 <= x < qs) for row in table for x in row):
+        return ("q_table entries out of range",)
+    bad = []
+    for q in range(qs):
+        if table[0][q] != q or table[q][0] != q:
+            bad.append(f"index 0 is not the identity at q={q}")
+    gens = _generating_points(table, firsts)
+    for q in range(qs):
+        row = table[q]
+        for r in range(qs):
+            left, right = table[row[r]], table[r]
+            for s in gens:
+                if left[s] != row[right[s]]:
+                    bad.append(f"associativity fails at ({q},{r},{s})")
+    for q in range(qs):
+        if all(table[q][r] != 0 for r in range(qs)):
+            bad.append(f"no inverse for q={q}")
+    return tuple(bad)
 
 
 def validate_extension(spec: ExtensionSpec) -> ValidationReport:
@@ -143,34 +172,18 @@ def validate_extension(spec: ExtensionSpec) -> ValidationReport:
     of O(|Q|^3 n^2), and accept exactly the specs the checks over all
     triples accept.  Failure lines name only checked triples and pairs,
     those whose last index is in S.  The identity, inverse, shape and
-    normalization checks run over all of Q.
+    normalization checks run over all of Q.  The table checks are
+    ``point_table_failures``; the rest run only once the table passes.
     """
-    bad = []
-    qs = spec.q_size
-    table = spec.q_table
-    if qs == 0:
-        return ValidationReport(("q_table is empty; index 0 must be the identity",))
-    if len(table) != qs or any(len(row) != qs for row in table):
+    qs, table = spec.q_size, spec.q_table
+    if len(table) != qs:
         return ValidationReport((f"q_table must be {qs}x{qs}",))
-    if any(not (0 <= x < qs) for row in table for x in row):
-        return ValidationReport(("q_table entries out of range",))
-    for q in range(qs):
-        if table[0][q] != q or table[q][0] != q:
-            bad.append(f"index 0 is not the identity at q={q}")
-    gens = point_generating_set(spec)
-    for q in range(qs):
-        row = table[q]
-        for r in range(qs):
-            left, right = table[row[r]], table[r]
-            for s in gens:
-                if left[s] != row[right[s]]:
-                    bad.append(f"associativity fails at ({q},{r},{s})")
-    for q in range(qs):
-        if all(table[q][r] != 0 for r in range(qs)):
-            bad.append(f"no inverse for q={q}")
-    if bad:
-        return ValidationReport(tuple(bad))
-
+    firsts = [g.q for _, g in spec.generator_names]
+    failures = point_table_failures(table, firsts)
+    if failures:
+        return ValidationReport(failures)
+    gens = _generating_points(table, firsts)
+    bad = []
     n = spec.n
     phi = spec.phi
     if len(phi) != qs:

@@ -37,7 +37,7 @@ BackendCapabilityError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import groupby
 from math import lcm
 
@@ -209,11 +209,8 @@ def gen_order_lower_bound(G, g) -> int:
     return o
 
 
-@dataclass(frozen=True)
-class ExponentBounds:
-    lower: int
-    upper: int
-    exact: bool
+class ExponentBounds(namedtuple("ExponentBounds", "lower upper exact")):
+    __slots__ = ()
 
 
 def gen_exponent_bounds(G) -> ExponentBounds:
@@ -230,15 +227,11 @@ def gen_exponent_bounds(G) -> ExponentBounds:
 # -- certificates ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WitnessCertificate:
+class WitnessCertificate(namedtuple("WitnessCertificate",
+                                    "base conjugators words length verified")):
     """A verified product of conjugates of ``base`` equal to the identity."""
 
-    base: object
-    conjugators: tuple
-    words: tuple
-    length: int
-    verified: bool
+    __slots__ = ()
 
 
 def _verify_product(G, bases, conjugators):

@@ -12,7 +12,7 @@ columns is Z^c / rowspace(R).  Vectors are plain tuples and act as columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from math import gcd, lcm
 
@@ -239,17 +239,14 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return IntMatrix._of(a, m.cols), IntMatrix._of(u, m.rows)
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(namedtuple("SmithDecomposition", "U D V")):
     """U @ M @ V == D with U, V unimodular and D diagonal.
 
     The diagonal entries are nonnegative and form a divisibility chain
     d1 | d2 | ..., with zeros (if any) at the end.
     """
 
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
+    __slots__ = ()
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.D[i, i] for i in range(min(self.D.rows, self.D.cols)))
@@ -390,22 +387,17 @@ def unimodular_inverse(m: IntMatrix) -> IntMatrix:
     return w
 
 
-@dataclass(frozen=True)
-class AbelianStructure:
+class AbelianStructure(namedtuple("AbelianStructure", "invariant_factors free_rank "
+                                                     "to_canonical moduli selected transform")):
     """Canonical form of a finitely generated abelian group.
 
     Built from a relation matrix (relations as rows); the group is
     Z^n_generators modulo the row space.  ``to_canonical`` maps a
     generator-exponent vector to one coordinate per invariant factor
     (reduce modulo ``invariant_factors``) followed by the free coordinates.
+    Instances keep a ``__dict__`` (no ``__slots__``) for the inverse
+    transform that ``lift`` caches.
     """
-
-    invariant_factors: tuple[int, ...]
-    free_rank: int
-    to_canonical: IntMatrix
-    moduli: tuple[int, ...]
-    selected: tuple[int, ...]
-    transform: IntMatrix
 
     @property
     def n_generators(self) -> int:

@@ -31,7 +31,7 @@ the entries after the first of v - v_0 norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, lcm
 
 from .errors import GroupInputError, TheoremViolationError
@@ -42,12 +42,8 @@ from .intlin import IntMatrix, cokernel_structure
 SIZE_CAP = 256  # largest accepted N = p^(n+m)
 
 
-@dataclass(frozen=True)
-class MetabElement:
-    key: tuple
-    alpha: int
-    beta: int
-    coords: tuple
+class MetabElement(namedtuple("MetabElement", "key alpha beta coords")):
+    __slots__ = ()
 
 
 def _is_prime(p: int) -> bool:

@@ -11,13 +11,14 @@ conjugate b^-1 * a * b; ``[a,b]`` is the commutator a^-1 * b^-1 * a * b.
 The caret chains to the left: ``x^y^2`` is ``(x^y)^2``.  The literal ``1``
 is the identity; no other bare integer is a valid atom.
 
-Trees round-trip: parse_word(print_word(t)) == t, with no simplification
-performed by either direction.
+Trees round-trip: parse_word(print_word(t)) == t for every tree whose
+products have at least two factors, with no simplification performed by
+either direction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import GroupInputError
 
@@ -30,40 +31,54 @@ class WordSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Gen:
-    name: str
+class _Node(tuple):
+    """Shared base of the word nodes.
+
+    Nodes are namedtuples, but equality and hashing also see the class, so
+    ``Conj(a, b) != Comm(a, b)`` and ``Gen("x") != ("x",)``; every node is
+    truthy, ``Ident()`` included.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash((type(self), tuple(self)))
+
+    def __bool__(self):
+        return True
 
 
-@dataclass(frozen=True)
-class Ident:
-    pass
+class Gen(_Node, namedtuple("Gen", "name")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Mul:
-    factors: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
+class Ident(_Node, namedtuple("Ident", "")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exp: int
+class Mul(_Node, namedtuple("Mul", "factors")):
+    __slots__ = ()
+
+    def __new__(cls, factors):
+        return super().__new__(cls, tuple(factors))
 
 
-@dataclass(frozen=True)
-class Conj:
-    base: object
-    by: object
+class Pow(_Node, namedtuple("Pow", "base exp")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Comm:
-    left: object
-    right: object
+class Conj(_Node, namedtuple("Conj", "base by")):
+    __slots__ = ()
+
+
+class Comm(_Node, namedtuple("Comm", "left right")):
+    __slots__ = ()
 
 
 # str.isdigit also accepts characters such as "²" that int() rejects
@@ -175,9 +190,11 @@ def parse_word(text: str):
 
 
 def _print_atomic(node) -> str:
-    """Render with parentheses unless the node already parses as an atom."""
+    """Render a conjugating word: parenthesized unless it parses as an atom
+    after a caret.  ``1`` there would read as the exponent 1, so the
+    identity is parenthesized too."""
     out = print_word(node)
-    if isinstance(node, (Gen, Ident, Comm)):
+    if isinstance(node, (Gen, Comm)):
         return out
     return f"({out})"
 

@@ -16,7 +16,7 @@ from gentorsion.catalog import (
     trivial_z_spec,
 )
 from gentorsion.errors import GroupInputError
-from gentorsion.extgroup import ExtensionGroup, spec_to_dict, validate_extension
+from gentorsion.extgroup import ExtElement, ExtensionGroup, spec_to_dict, validate_extension
 from gentorsion.gentor import (
     DirectProductGroup,
     SplitMix64,
@@ -78,6 +78,17 @@ def test_wreath_translation_structure():
 def test_wreath_rejects_bad_table():
     with pytest.raises(GroupInputError):
         build_wreath([[0, 1], [1, 1]])
+
+
+@pytest.mark.parametrize("table, reason", [
+    ([[0, 5], [1, 0]], "q_table entries out of range"),
+    ([[0, -1], [1, 0]], "q_table entries out of range"),
+    ([[0, 1], [1]], "q_table must be 2x2"),
+    ([], "q_table is empty"),
+])
+def test_wreath_rejects_malformed_table_before_building(table, reason):
+    with pytest.raises(GroupInputError, match="invalid multiplication table: " + reason):
+        build_wreath(table)
 
 
 # -- free abelianized extensions -------------------------------------------
@@ -208,6 +219,19 @@ def test_gamma_sign_character(gamma):
     assert gamma.sign(P.mul(x, x)) == 1
     signs = {gamma.sign(g) for _, g in P.generators}
     assert -1 in signs
+
+
+def test_gamma_sign_parity_form_matches_canonical(gamma):
+    """The precomputed parity form agrees with reading the sign coordinate
+    off the canonical form of G^ab, on random elements of P."""
+    P = gamma.P
+    ab = P.abelianization()
+    rng = SplitMix64(31)
+    for _ in range(500):
+        h = ExtElement(rng.randrange(P.spec.q_size),
+                       tuple(rng.randrange(61) - 30 for _ in range(P.spec.n)))
+        want = -1 if ab.canonical(P.ab_vector(h))[gamma._sign_coord] % 2 else 1
+        assert gamma.sign(h) == want
 
 
 def test_gamma_sigma_candidates(gamma):

@@ -21,6 +21,7 @@ from gentorsion.catalog import (
     build_promislow,
     build_wreath,
 )
+from gentorsion.errors import GroupInputError
 from gentorsion.extgroup import (
     ExtensionGroup,
     ExtensionSpec,
@@ -36,6 +37,7 @@ from gentorsion.intlin import cokernel_structure
 
 import extension_bruteforce as brute
 
+C2 = [[0, 1], [1, 0]]
 C3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
 S3 = [[0, 1, 2, 3, 4, 5], [1, 2, 0, 5, 3, 4], [2, 0, 1, 4, 5, 3],
       [3, 4, 5, 0, 1, 2], [4, 5, 3, 2, 0, 1], [5, 3, 4, 1, 2, 0]]
@@ -210,3 +212,40 @@ def test_broken_klein_names_the_checked_triple():
     data["coc"][1][1] = [1, 1]
     report = validate_extension(spec_from_dict(data))
     assert report.failures == ("cocycle identity fails at (1,1,1)",)
+
+
+def regular_spec(table):
+    """Z wr Q's spec, built without any check: phi(q) sends e_h to e_{hq},
+    the cocycle is zero."""
+    n = len(table)
+    phi = [[[int(table[h][q] == i) for h in range(n)] for i in range(n)] for q in range(n)]
+    coc = [[[0] * n for _ in range(n)] for _ in range(n)]
+    gens = [("t", (0, [int(h == 0) for h in range(n)]))]
+    gens += [(f"s{q}", (q, [0] * n)) for q in range(1, n)]
+    return ExtensionSpec.build(table, phi, coc, gens)
+
+
+@pytest.mark.parametrize("table", [C2, C3, S3], ids=["C2", "C3", "S3"])
+def test_wreath_table_check_agrees_with_full_checks(table):
+    """``build_wreath`` checks its table alone; it rejects exactly the
+    single-entry corruptions whose regular-representation spec the full
+    checks reject, and builds the same spec otherwise."""
+    n = len(table)
+    rejected = 0
+    for q in range(n):
+        for r in range(n):
+            for value in range(n):
+                corrupted = [list(row) for row in table]
+                corrupted[q][r] = value
+                spec = regular_spec(corrupted)
+                want = brute.validate_extension(spec)
+                try:
+                    got = build_wreath(corrupted)
+                except GroupInputError as exc:
+                    assert not want.ok
+                    shown = "; ".join(validate_extension(spec).failures[:3])
+                    assert str(exc) == "invalid multiplication table: " + shown
+                    rejected += 1
+                else:
+                    assert want.ok and got == spec
+    assert rejected == n * n * (n - 1)
