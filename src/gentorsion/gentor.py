@@ -366,6 +366,15 @@ def gen_order_search(G, g, max_k: int, radius: int):
     prefix P of length h ending at s, putting the least sequence to s in
     place of P keeps the product trivial and is no larger.
 
+    When k is odd, level k-h = h-1 is complete before level h is built,
+    so each state of level h is tested as it is inserted and the build
+    stops at the first match.  States are inserted in the order the walk
+    visits them, so that match is the s above and the certificate is the
+    same as with the level built in full.
+
+    The ball and its inverses are kept on the group (``_generator_ball``);
+    the conjugates of g are formed anew on every call.
+
     None when max_k < lb holds for every conjugator, not just the ball:
     it is returned before the ball is built.  None when g is not
     generalized torsion is likewise absolute.  Otherwise None means only
@@ -384,6 +393,20 @@ def gen_order_search(G, g, max_k: int, radius: int):
     # levels[j][state] = (state at level j-1, conjugate index), first reached
     levels = [{G.identity(): None}]
 
+    def grow(meet=None):
+        """Append the next level; with ``meet``, stop at and return its
+        first state whose inverse lies in ``meet``."""
+        nxt = {}
+        levels.append(nxt)
+        for state in levels[-2]:
+            for i, (_, _, c) in enumerate(conjugates):
+                p = G.mul(state, c)
+                if p not in nxt:
+                    nxt[p] = (state, i)
+                    if meet is not None and G.inv(p) in meet:
+                        return p
+        return None
+
     def path_to(j, state):
         path = []
         for level in reversed(levels[1 : j + 1]):
@@ -393,16 +416,15 @@ def gen_order_search(G, g, max_k: int, radius: int):
 
     for k in range(lb, max_k + 1, lb):
         h = (k + 1) // 2
-        while len(levels) <= h:
-            nxt = {}
-            for state in levels[-1]:
-                for i, (_, _, c) in enumerate(conjugates):
-                    p = G.mul(state, c)
-                    if p not in nxt:
-                        nxt[p] = (state, i)
-            levels.append(nxt)
-        other = levels[k - h]
-        s = next((u for u in levels[h] if G.inv(u) in other), None)
+        while len(levels) < h:
+            grow()
+        if len(levels) == h and k % 2:
+            s = grow(meet=levels[h - 1])
+        else:
+            if len(levels) == h:
+                grow()
+            other = levels[k - h]
+            s = next((u for u in levels[h] if G.inv(u) in other), None)
         if s is not None:
             break
     else:
@@ -416,36 +438,57 @@ def gen_order_search(G, g, max_k: int, radius: int):
     return WitnessCertificate(g, xs, words, k, True)
 
 
+class _Ball:
+    """A group's stored conjugator ball; see ``_generator_ball``."""
+
+    __slots__ = ("letters", "entries", "seen", "bounds")
+
+    def __init__(self, G):
+        self.letters = []
+        for name, e in G.generators:
+            e_inv = G.inv(e)
+            self.letters.append((name, e, e_inv))
+            self.letters.append((f"{name}^-1", e_inv, e))
+        one = G.identity()
+        self.entries = [("1", one, one)]
+        self.seen = {one}
+        # word length r occupies entries[bounds[r]:bounds[r + 1]]
+        self.bounds = [0, 1]
+
+
 def _generator_ball(G, radius: int):
-    """Labeled ball of word length <= radius, breadth-first, deduplicated."""
-    letters = []
-    for name, e in G.generators:
-        letters.append((name, e))
-        letters.append((f"{name}^-1", G.inv(e)))
-    seen = {G.identity(): "1"}
-    frontier = [("1", G.identity())]
-    out = [("1", G.identity())]
-    for _ in range(radius):
-        new_frontier = []
-        for w, e in frontier:
-            for lw, le in letters:
+    """Labeled ball of word length <= radius, breadth-first, deduplicated.
+
+    Entries are (word, x, x^-1).  The ball is kept per group object, as
+    ``G._ball``, and grown on demand: ball(r) is a prefix of ball(R) for
+    r <= R, so a smaller radius reuses the stored ball and a larger one
+    extends it from the last frontier, with (e*l)^-1 = l^-1 * e^-1.  Its
+    memory grows with the largest radius searched, like the transversal's.
+    It is read through ``vars(G)``, so a proxy that forwards attribute
+    reads to a backend keeps a ball of its own.
+    """
+    ball = vars(G).get("_ball")
+    if ball is None:
+        ball = G._ball = _Ball(G)
+    entries, seen, bounds = ball.entries, ball.seen, ball.bounds
+    while len(bounds) <= radius + 1 and bounds[-2] < bounds[-1]:
+        for w, e, e_inv in entries[bounds[-2] : bounds[-1]]:
+            for lw, le, le_inv in ball.letters:
                 p = G.mul(e, le)
                 if p in seen:
                     continue
-                pw = lw if w == "1" else f"{w}*{lw}"
-                seen[p] = pw
-                new_frontier.append((pw, p))
-                out.append((pw, p))
-        frontier = new_frontier
-    return out
+                seen.add(p)
+                entries.append((lw if w == "1" else f"{w}*{lw}", p, G.mul(le_inv, e_inv)))
+        bounds.append(len(entries))
+    return entries[: bounds[min(radius + 1, len(bounds) - 1)]]
 
 
 def _conjugate_set(G, g, radius: int):
-    """Distinct conjugates g^x for x in the ball, first word wins."""
+    """Distinct conjugates g^x = x^-1 g x for x in the ball, first word wins."""
     out = []
     seen = set()
-    for w, x in _generator_ball(G, radius):
-        c = G.conj(g, x)
+    for w, x, x_inv in _generator_ball(G, radius):
+        c = G.mul(G.mul(x_inv, g), x)
         if c in seen:
             continue
         seen.add(c)

@@ -6,10 +6,54 @@ length the abelianization lower bound divides.  It needs no argument
 beyond "the first state reached is reached by the least sequence", so the
 tests compare the half-depth, lower-bound-stride search against it.
 Every level is kept, so cost grows like |ball|^max_k; keep the cases small.
+
+The ball and the conjugates are built here, on every call, the way the
+search built them before it kept a ball per group: a breadth-first walk
+over the generators and their inverses, and ``conjugate`` for each ball
+element.  So the stored ball, its reused inverses and the odd-length early
+stop of ``gentor.gen_order_search`` are all checked against code they do
+not share.
 """
 
 from gentorsion.errors import GroupInputError, TheoremViolationError
-from gentorsion.gentor import WitnessCertificate, _conjugate_set, _verify_product
+from gentorsion.gentor import WitnessCertificate, _verify_product, conjugate
+
+
+def generator_ball(G, radius: int):
+    """Labeled ball of word length <= radius, breadth-first, deduplicated."""
+    letters = []
+    for name, e in G.generators:
+        letters.append((name, e))
+        letters.append((f"{name}^-1", G.inv(e)))
+    seen = {G.identity()}
+    frontier = [("1", G.identity())]
+    out = [("1", G.identity())]
+    for _ in range(radius):
+        new_frontier = []
+        for w, e in frontier:
+            for lw, le in letters:
+                p = G.mul(e, le)
+                if p in seen:
+                    continue
+                seen.add(p)
+                pw = lw if w == "1" else f"{w}*{lw}"
+                new_frontier.append((pw, p))
+                out.append((pw, p))
+        frontier = new_frontier
+    return out
+
+
+def conjugate_set(G, g, radius: int):
+    """Distinct conjugates g^x for x in the ball, first word wins."""
+    out = []
+    seen = set()
+    for w, x in generator_ball(G, radius):
+        c = conjugate(G, g, x)
+        if c in seen:
+            continue
+        seen.add(c)
+        out.append((w, x, c))
+    return out
 
 
 def gen_order_search(G, g, max_k: int, radius: int):
@@ -22,7 +66,7 @@ def gen_order_search(G, g, max_k: int, radius: int):
     if lb is None:
         return None
 
-    conjugates = _conjugate_set(G, g, radius)
+    conjugates = conjugate_set(G, g, radius)
     ident = G.identity()
     # parents[k-1][state] = (state at level k-1, conjugate index) for the
     # first (lexicographically least) way to reach state with k factors

@@ -5,7 +5,9 @@ lower bound, returns early when that bound exceeds ``max_k``, and meets
 two half-depth levels in the middle.  ``search_bruteforce`` builds every
 level up to ``max_k``; both must return the same certificate (words,
 conjugators and length) or both None, and the fast search must do less
-work.
+work.  The brute force builds its own ball and conjugates on every call,
+so the ball that ``gen_order_search`` keeps per group, grown across radii
+in whatever order the cases arrive, is checked too.
 """
 
 import functools
@@ -22,6 +24,7 @@ from gentorsion.catalog import (
 from gentorsion.extgroup import ExtensionGroup
 from gentorsion.gentor import (
     SplitMix64,
+    _generator_ball,
     conjugate,
     gen_order_lower_bound,
     gen_order_search,
@@ -104,11 +107,25 @@ def test_search_agrees_with_brute_force_property(name):
     check()
 
 
+@pytest.mark.parametrize("name", BACKENDS)
+def test_stored_ball_is_the_breadth_first_ball(name):
+    G = BACKENDS[name]()
+    one = G.identity()
+    for radius in (1, 0, 3, 2, 3):
+        ball = _generator_ball(G, radius)
+        assert [(w, x) for w, x, _ in ball] == brute.generator_ball(G, radius)
+        assert all(G.mul(x, x_inv) == one for _, x, x_inv in ball)
+
+
 # -- cost ------------------------------------------------------------------
 
 
 class MulCounter:
-    """A backend proxy that counts ``mul`` calls, conjugations included."""
+    """A backend proxy that counts ``mul`` calls, conjugations included.
+
+    The search keeps its ball in the proxy's own ``vars``, so every
+    counter starts without one, whatever ran before on the wrapped group.
+    """
 
     conj = conjugate
     pow = power
@@ -148,3 +165,45 @@ def test_search_makes_fewer_products_than_brute_force(k311):
     assert cert == brute.gen_order_search(slow, x, max_k=9, radius=1)
     assert cert.length == 9
     assert fast.muls < slow.muls
+
+
+def test_second_search_makes_no_ball_products(k311):
+    x = k311.collect([("x", 1)])
+    ball_only = MulCounter(k311)
+    _generator_ball(ball_only, 2)
+    counter = MulCounter(k311)
+    first = gen_order_search(counter, x, max_k=9, radius=2)
+    ball = vars(counter)["_ball"]
+    size = len(ball.entries)
+    cold = counter.muls
+    second = gen_order_search(counter, x, max_k=9, radius=2)
+    assert second == first
+    assert vars(counter)["_ball"] is ball and len(ball.entries) == size
+    assert counter.muls - cold == cold - ball_only.muls
+
+
+def test_smaller_radius_builds_nothing_new(k311):
+    x = k311.collect([("x", 1)])
+    wide, narrow = MulCounter(k311), MulCounter(k311)
+    gen_order_search(wide, x, max_k=9, radius=2)
+    gen_order_search(narrow, x, max_k=9, radius=1)
+    size = len(vars(wide)["_ball"].entries)
+    before = wide.muls, narrow.muls
+    assert gen_order_search(wide, x, max_k=9, radius=1) == gen_order_search(
+        narrow, x, max_k=9, radius=1
+    )
+    assert len(vars(wide)["_ball"].entries) == size
+    assert wide.muls - before[0] == narrow.muls - before[1]
+
+
+def test_odd_length_search_stops_early(k311):
+    # radius 1, k = 9: 8 products build the ball and its inverses, 10 form
+    # the conjugates and 27 re-multiply the certificate.  Levels 1 to 5
+    # take the other 125, as level 5 stops at its first state whose
+    # inverse lies in level 4.  Built in full, with the ball and its
+    # inverses formed anew, the same search made 323 products.
+    x = k311.collect([("x", 1)])
+    counter = MulCounter(k311)
+    cert = gen_order_search(counter, x, max_k=9, radius=1)
+    assert cert.length == 9
+    assert counter.muls == 170
