@@ -301,8 +301,6 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 0
         return 2 if code else 0
-    if not hasattr(args, "seed"):
-        args.seed = None
     try:
         return args.fn(args)
     except (GroupInputError, BackendCapabilityError, WordSyntaxError) as exc:

@@ -546,7 +546,7 @@ class DirectProductGroup:
             la = self.left.abelianization()
             ra = self.right.abelianization()
             moduli = list(la.moduli) + list(ra.moduli)
-            self._ab = cokernel_structure(IntMatrix.diagonal(moduli, cols=len(moduli)))
+            self._ab = cokernel_structure(IntMatrix.diagonal(moduli))
         return self._ab
 
     def ab_vector(self, g):

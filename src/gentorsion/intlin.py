@@ -85,14 +85,10 @@ class IntMatrix:
         return cls._of(((0,) * cols,) * rows, cols)
 
     @classmethod
-    def diagonal(cls, entries, rows: int | None = None, cols: int | None = None) -> "IntMatrix":
+    def diagonal(cls, entries) -> "IntMatrix":
         entries = [int(x) for x in entries]
-        r = rows if rows is not None else len(entries)
-        c = cols if cols is not None else len(entries)
-        return cls._of(
-            [[entries[i] if i == j and i < len(entries) else 0 for j in range(c)] for i in range(r)],
-            c,
-        )
+        n = len(entries)
+        return cls._of([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)], n)
 
     def __getitem__(self, key) -> int:
         i, j = key

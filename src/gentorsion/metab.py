@@ -21,18 +21,22 @@ ways of evaluating the result.  Those vectors are collected mechanically
 and then checked to be integer multiples of the norm
 Psi_{p^n}(X) Psi_{p^m}(Y), the all-ones vector, with multiples of gcd 1.
 Shifts fix the norm, so S = Z norm and M = Z^d / Z norm is free of rank
-d - 1; a group failing the check is a theorem violation.
+d - 1; a group failing the check is a theorem violation.  The build
+collects in the cover, the group where only the ring relations hold,
+with the shared square-and-multiply ``power`` and ``conjugate``.
 
 Ring elements are plain integer tuples of length d = p^{n+m}, indexed by
 (i, j) -> i * p^m + j for the monomial X^i Y^j.  An element stores its
 commutator exponent v by the coordinates v_k - v_0, k = 1, ..., d - 1:
-the entries after the first of v - v_0 norm.
+the entries after the first of v - v_0 norm.  These coordinates are the
+only representation of M.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from math import gcd, lcm
+from types import SimpleNamespace
 
 from .errors import GroupInputError, TheoremViolationError
 from .gentor import (_UNSET, conjugate, labeled_transversal, order_mod_translation, power,
@@ -79,13 +83,15 @@ class MetabGroup:
 
         # power relations x^N = c^{g3}, y^N = c^{g4}, by unreduced collection
         # of the relators (x^{qn})^{Psi_{qm}(y)} and (y^{qm})^{Psi_{qn}(x)}
-        self.g3 = self._neg(self._relator_tail("x"))
-        self.g4 = self._neg(self._relator_tail("y"))
+        cover = SimpleNamespace(identity=lambda: (0, 0, self._zero),
+                                mul=self._raw_mul, inv=self._raw_inv)
+        self.g3 = self._neg(self._relator_tail(cover, "x"))
+        self.g4 = self._neg(self._relator_tail(cover, "y"))
 
         # S = Z norm exactly when every consistency vector is a multiple of
         # the norm, with multiples of gcd 1; then M is torsion-free and the
         # norm, the exponent of [x^{p^n}, y^{p^m}], lies in S
-        self._relations = self._consistency_vectors()
+        self._relations = self._consistency_vectors(cover)
         norm = self._psi_product(self.qn, self.qm)
         multiples = [vec[0] for vec in self._relations]
         if gcd(*multiples) != 1 or any(
@@ -94,7 +100,6 @@ class MetabGroup:
                 f"the relation submodule of K({self.qn},{self.qm}) is not Z norm: its "
                 "generators are not multiples of the norm with gcd 1"
             )
-        self.module = cokernel_structure(IntMatrix._of([norm], self.d))
 
         self.generators = (
             ("x", self._make(1, 0, self._zero)),
@@ -177,21 +182,12 @@ class MetabGroup:
             out = self._add(out, self._shift(self._psi_product(-a, b), 0, -b))
         return (-a, -b, out)
 
-    def _raw_conj(self, g, x):
-        return self._raw_mul(self._raw_mul(self._raw_inv(x), g), x)
-
-    def _raw_pow(self, g, k: int):
-        out = (0, 0, self._zero)
-        for _ in range(abs(k)):
-            out = self._raw_mul(out, g)
-        return out if k >= 0 else self._raw_inv(out)
-
     def collect_unreduced(self, word):
         """Collect a word over {x, y, c} without applying power relations.
 
         This is arithmetic in the cover where only the ring relations hold,
-        so x- and y-exponents stay plain integers.  Used by the build steps
-        and ``collect``, and as a cross-check target in tests.
+        so x- and y-exponents stay plain integers.  Used by ``collect``, and
+        as a cross-check target in tests.
         """
         out = (0, 0, self._zero)
         for name, exp in word:
@@ -205,11 +201,12 @@ class MetabGroup:
                 raise GroupInputError(f"unknown generator {name!r}")
         return out
 
-    def _relator_tail(self, letter: str):
+    def _relator_tail(self, cover, letter: str):
         """Commutator part of the collected relator for x (or y).
 
         For x: collect prod_{j < qm} (x^{qn})^{y^j}, which the presentation
         forces to be trivial; the result is (N, 0, w), so x^N = c^{-w}.
+        ``cover`` is the cover as a group: ``identity``, ``mul``, ``inv``.
         """
         if letter == "x":
             base, steps, unit = (self.qn, 0, self._zero), self.qm, (0, 1)
@@ -217,12 +214,12 @@ class MetabGroup:
             base, steps, unit = (0, self.qm, self._zero), self.qn, (1, 0)
         out = (0, 0, self._zero)
         for j in range(steps):
-            out = self._raw_mul(out, self._raw_conj(base, (unit[0] * j, unit[1] * j, self._zero)))
+            out = self._raw_mul(out, conjugate(cover, base, (unit[0] * j, unit[1] * j, self._zero)))
         a, b, w = out
         assert (a, b) == (base[0] * steps, base[1] * steps)
         return w
 
-    def _consistency_vectors(self):
+    def _consistency_vectors(self, cover):
         """Module generators of the relation submodule S.
 
         For each power relation (x^N = c^{g3}, y^N = c^{g4}) and each
@@ -234,15 +231,11 @@ class MetabGroup:
         x, y = (1, 0, self._zero), (0, 1, self._zero)
         for base, g in ((x, self.g3), (y, self.g4)):
             for u, (ui, uj) in ((x, (1, 0)), (y, (0, 1))):
-                a, b, w = self._raw_pow(self._raw_conj(base, u), self.N)
+                a, b, w = power(cover, conjugate(cover, base, u), self.N)
                 assert (a % self.N, b % self.N) == (0, 0)
                 vec = self._add(self._add(g, w), self._neg(self._shift(g, ui, uj)))
                 vectors.append(vec)
         return tuple(vectors)
-
-    def in_relation_submodule(self, v) -> bool:
-        # canonical coordinates present Z^d / S exactly, so they vanish on S only
-        return all(x == 0 for x in self.module.canonical(v))
 
     # -- normal forms -------------------------------------------------------
 
@@ -294,10 +287,6 @@ class MetabGroup:
         """
         return self._make(*self.collect_unreduced(word))
 
-    def commutator_element(self, v) -> MetabElement:
-        """The element c^v for a ring vector v."""
-        return self._make(0, 0, tuple(v))
-
     # -- capability contract ------------------------------------------------
 
     def coset(self, g: MetabElement) -> tuple:
@@ -317,9 +306,6 @@ class MetabGroup:
 
     def ab_vector(self, g: MetabElement) -> tuple:
         return (g.alpha, g.beta)
-
-    def hirsch_length(self) -> int:
-        return self.module.free_rank
 
     # -- torsion and center -------------------------------------------------
 

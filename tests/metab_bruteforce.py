@@ -10,8 +10,10 @@ Cost grows like N^2 Smith forms; keep them to N <= 16.
 
 ``center_rank_test`` is the library's former centre check: the rank of
 the fixed sublattice of M, from the ring-multiplication matrices of
-``mult_matrix``.  It is the oracle for centre answers on injected
-relation modules, where no group presentation backs the residue loops.
+``mult_matrix``, with M read from ``closure_module``.  It is the oracle
+for centre answers on injected relation modules, where no group
+presentation backs the residue loops.  ``norm_module`` is the cokernel of
+the norm row, the module every build once eliminated.
 
 ``consistency_rows`` is the shift closure of the consistency vectors, the
 4d-row presentation of S that the library once eliminated on every build;
@@ -22,9 +24,11 @@ tests compare the library's reduction modulo the norm against it.
 
 The oracles multiply with their own ``affine_mul``, written apart from
 the library's collection code, so they do not share a multiplier with the
-code they check.  ``shift`` is the double loop the library's ``_shift``
-ran before it read a precomputed permutation table; the oracles shift with
-it, and the tests compare the two.
+code they check; ``cover_mul`` is its product before the power relations
+fold, and ``build_vectors`` recomputes the build's g3, g4 and consistency
+vectors with it, one factor at a time.  ``shift`` is the double loop the
+library's ``_shift`` ran before it read a precomputed permutation table;
+the oracles shift with it, and the tests compare the two.
 """
 
 from math import gcd, lcm
@@ -45,11 +49,11 @@ def shift(G, v, a, b):
     return tuple(out)
 
 
-def affine_mul(G, f1, f2):
-    """Product of x^a y^b c^{m v + c} forms sharing one formal slot v.
+def cover_mul(G, f1, f2):
+    """Product of x^a y^b c^{m v + c} forms sharing one formal slot v, in
+    the cover: x- and y-exponents stay plain integers.
 
-    m is a ring element acting by multiplication; folding x^N and y^N
-    contributes only to the constant part.
+    m is a ring element acting by multiplication.
     """
     a1, b1, m1, c1 = f1
     a2, b2, m2, c2 = f2
@@ -57,7 +61,13 @@ def affine_mul(G, f1, f2):
     c = G._add(shift(G, c1, a2, b2), c2)
     if a2 and b1:
         c = G._add(c, G._neg(shift(G, G._psi_product(a2, b1), 0, b2)))
-    a, b = a1 + a2, b1 + b2
+    return (a1 + a2, b1 + b2, m, c)
+
+
+def affine_mul(G, f1, f2):
+    """``cover_mul`` followed by folding x^N and y^N, which contributes
+    only to the constant part."""
+    a, b, m, c = cover_mul(G, f1, f2)
     k, a = divmod(a, G.N)
     if k:
         c = G._add(c, G._scale(shift(G, G.g3, 0, b), k))
@@ -65,6 +75,40 @@ def affine_mul(G, f1, f2):
     if l:
         c = G._add(c, G._scale(G.g4, l))
     return (a, b, m, c)
+
+
+def cover_product(G, letters):
+    """(a, b, c) of a product of letters x^a y^b in the cover, one
+    ``cover_mul`` per letter."""
+    acc = (0, 0, G._zero, G._zero)
+    for a, b in letters:
+        acc = cover_mul(G, acc, (a, b, G._zero, G._zero))
+    return acc[0], acc[1], acc[3]
+
+
+def build_vectors(G):
+    """(g3, g4, consistency vectors) collected letter by letter.
+
+    x^N = c^{g3} from the relator prod_{j < qm} y^-j x^{qn} y^j, likewise
+    y^N = c^{g4}.  For each relation t^N = c^g (t = x, y) and each letter
+    u, the consistency vector is g + w - U g, with (u^-1 t u)^N = t^N c^w
+    in the cover.
+    """
+    tails = []
+    for base, unit, steps in (((G.qn, 0), (0, 1), G.qm), ((0, G.qm), (1, 0), G.qn)):
+        letters = []
+        for j in range(steps):
+            letters += [(-unit[0] * j, -unit[1] * j), base, (unit[0] * j, unit[1] * j)]
+        a, b, w = cover_product(G, letters)
+        assert (a, b) == (base[0] * steps, base[1] * steps)
+        tails.append(G._neg(w))
+    g3, g4 = tails
+    vectors = []
+    for (a, b), g in (((1, 0), g3), ((0, 1), g4)):
+        for ui, uj in ((1, 0), (0, 1)):
+            _, _, w = cover_product(G, [(-ui, -uj), (a, b), (ui, uj)] * G.N)
+            vectors.append(G._add(G._add(g, w), G._neg(shift(G, g, ui, uj))))
+    return g3, g4, tuple(vectors)
 
 
 def residue_power(G, a, b):
@@ -89,15 +133,17 @@ def center_rank_test(G) -> bool:
     """True iff M has no nonzero vector fixed by both shifts (M torsion-free).
 
     v is fixed in M iff (X - 1) v and (Y - 1) v lie in S; the kernel of
-    that system always contains S, of rank d - free_rank.
+    that system always contains S, of rank d - free_rank.  M is the
+    cokernel of the full shift closure of ``G._relations``.
     """
+    module = closure_module(G)
     ident = IntMatrix.identity(G.d)
-    proj = G.module.to_canonical
+    proj = module.to_canonical
     bx = proj @ (mult_matrix(G, G.monomial(1, 0)) - ident)
     by = proj @ (mult_matrix(G, G.monomial(0, 1)) - ident)
     diag = smith_normal_form(bx.vstack(by)).diagonal()
     kernel_rank = G.d - sum(1 for dd in diag if dd != 0)
-    return kernel_rank == G.d - G.module.free_rank
+    return kernel_rank == G.d - module.free_rank
 
 
 def consistency_rows(G, vectors=None) -> IntMatrix:
@@ -111,6 +157,11 @@ def consistency_rows(G, vectors=None) -> IntMatrix:
 def closure_module(G, vectors=None):
     """M = Z^d / S from the Smith cokernel of the full shift closure."""
     return cokernel_structure(consistency_rows(G, vectors))
+
+
+def norm_module(G):
+    """M = Z^d / Z norm, the cokernel of the one norm row."""
+    return cokernel_structure(IntMatrix([G._psi_product(G.qn, G.qm)], cols=G.d))
 
 
 def relation_columns(G) -> IntMatrix:

@@ -7,7 +7,9 @@ and the centre by the augmentation of the consistency vectors.  The
 oracles in ``metab_bruteforce`` multiply unreduced vectors and read
 coordinates from the full shift closure of S, and try every residue with
 stacked d x 5d solves; both must give the same answers on every group
-with N <= 16.  No K has torsion or a nontrivial centre, so the other
+with N <= 16.  The build's g3, g4 and consistency vectors are recollected
+letter by letter with the oracle's multiplier on every group with
+N <= 64.  No K has torsion or a nontrivial centre, so the other
 outcome of each check is reached by injection: power relations x^N or
 y^N set to p-th powers in M, and relation modules whose centre answer the
 oracle's rank test decides.
@@ -48,25 +50,39 @@ def line_power(G, a, b):
 
 
 def set_relations(G, vectors):
-    """Replace the generators of S and rebuild M from their shift closure."""
+    """Replace the generators of S."""
     G._relations = tuple(vectors)
-    G.module = brute.closure_module(G)
+
+
+def groups_up_to(cap):
+    """Every (p, n, m) with n, m >= 1 and N = p^(n+m) <= cap."""
+    return [(p, n, s - n) for p in range(2, cap + 1) if _is_prime(p)
+            for s in range(2, cap.bit_length()) if p**s <= cap for n in range(1, s)]
 
 
 def test_every_group_under_the_cap_builds():
     """All 44 K with N <= SIZE_CAP pass the S = Z norm check, and M's
     canonical coordinates are the entries v_k - v_0 that elements store."""
-    groups = [(p, n, s - n) for p in range(2, SIZE_CAP + 1) if _is_prime(p)
-              for s in range(2, SIZE_CAP.bit_length()) if p**s <= SIZE_CAP for n in range(1, s)]
+    groups = groups_up_to(SIZE_CAP)
     assert len(groups) == 44
+    assert len(groups_up_to(64)) == 20
     rng = SplitMix64(44)
     for pnm in groups:
         G = build_K(*pnm)
-        assert G.module.free_rank == G.d - 1
-        assert G.module.invariant_factors == ()
+        module = brute.norm_module(G)
+        assert module.free_rank == G.d - 1
+        assert module.invariant_factors == ()
         v = rand_vec(rng, G.d)
-        assert G.commutator_element(v).coords == G.module.canonical(v) == tuple(
+        assert G._make(0, 0, tuple(v)).coords == module.canonical(v) == tuple(
             x - v[0] for x in v[1:]), pnm
+
+
+@pytest.mark.parametrize("pnm", groups_up_to(64), ids=group_id)
+def test_build_vectors_agree_with_letter_by_letter_collection(pnm):
+    """g3, g4 and the consistency vectors against a linear product of the
+    oracle's ``cover_mul``, which shares no multiplier with the build."""
+    G = build_K(*pnm)
+    assert (G.g3, G.g4, G._relations) == brute.build_vectors(G)
 
 
 def _not_a_multiple(G, vectors):
@@ -83,7 +99,8 @@ def test_build_rejects_relations_other_than_z_norm(monkeypatch, pnm, tamper):
     """A consistency vector off the norm line, or multiples of gcd p or 0
     (M with torsion, or norm outside S), is a theorem violation."""
     collect = MetabGroup._consistency_vectors
-    monkeypatch.setattr(MetabGroup, "_consistency_vectors", lambda G: tamper(G, collect(G)))
+    monkeypatch.setattr(MetabGroup, "_consistency_vectors",
+                        lambda G, cover: tamper(G, collect(G, cover)))
     with pytest.raises(TheoremViolationError):
         build_K(*pnm)
 
@@ -91,7 +108,7 @@ def test_build_rejects_relations_other_than_z_norm(monkeypatch, pnm, tamper):
 def test_cli_exits_3_when_the_relations_are_not_z_norm(monkeypatch, capsys):
     collect = MetabGroup._consistency_vectors
     monkeypatch.setattr(MetabGroup, "_consistency_vectors",
-                        lambda G: _not_a_multiple(G, collect(G)))
+                        lambda G, cover: _not_a_multiple(G, collect(G, cover)))
     assert run(["info", "K:2,1,1"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -192,19 +209,20 @@ def test_residue_power_agrees_with_affine_power(pnm):
     for a, b in G._torsion_residues():
         m, c = brute.residue_power(G, a, b)
         assert m == G._scale(G.monomial(0, 0), G.p), (a, b)
-        assert G.module.canonical(c) == line_power(G, a, b).coords, (a, b)
+        assert brute.norm_module(G).canonical(c) == line_power(G, a, b).coords, (a, b)
 
 
 @pytest.mark.parametrize("pnm", SMALL, ids=group_id)
 def test_line_residue_power_is_p_w_plus_c(pnm):
     """(x^a y^b c^v)^p = c^{p v + c} in canonical coordinates, for seeded v."""
     G = build_K(*pnm)
+    module = brute.norm_module(G)
     rng = SplitMix64(31 + seed_of(pnm))
     for a, b in G._torsion_residues():
         c = line_power(G, a, b).coords
         for _ in range(4):
-            w = rand_vec(rng, G.module.free_rank)
-            got = G.pow(G._make(a, b, G.module.lift(w)), G.p).coords
+            w = rand_vec(rng, module.free_rank)
+            got = G.pow(G._make(a, b, module.lift(w)), G.p).coords
             assert got == tuple(G.p * x + y for x, y in zip(w, c)), (a, b, w)
 
 
@@ -254,7 +272,7 @@ def test_center_agrees_with_rank_test_on_injected_relations(pnm):
                 v = G._add(v, G._neg(G._shift(v, rng.randrange(G.qn), rng.randrange(G.qm))))
             vectors.append(v)
         set_relations(G, vectors)
-        if G.module.invariant_factors:
+        if brute.closure_module(G).invariant_factors:
             continue
         G._torsion = None
         trivial = G.has_trivial_center()
