@@ -24,7 +24,7 @@ from .extgroup import (
     validate_extension,
 )
 from .gentor import conjugate, is_generalized_torsion, power
-from .intlin import IntMatrix
+from .intlin import IntMatrix, _as_int
 from .metab import MetabGroup, build_K
 
 
@@ -66,7 +66,7 @@ def build_wreath(q_table) -> ExtensionSpec:
     zero cocycle is a valid spec exactly when the table is a group table,
     and ``ExtensionGroup`` validates the whole spec when it is built.
     """
-    table = [list(map(int, row)) for row in q_table]
+    table = [list(map(_as_int, row)) for row in q_table]
     failures = point_table_failures(table)
     if failures:
         raise GroupInputError("invalid multiplication table: " + "; ".join(failures[:3]))
@@ -92,8 +92,8 @@ class FreeAbelExtInput(namedtuple("FreeAbelExtInput", "rank q_table images")):
 
     @classmethod
     def build(cls, rank: int, q_table, images) -> "FreeAbelExtInput":
-        table = tuple(tuple(int(x) for x in row) for row in q_table)
-        return cls(int(rank), table, tuple(int(i) for i in images))
+        table = tuple(tuple(map(_as_int, row)) for row in q_table)
+        return cls(_as_int(rank), table, tuple(map(_as_int, images)))
 
 
 def build_free_abelianized_extension(inp: FreeAbelExtInput) -> ExtensionSpec:

@@ -15,17 +15,25 @@ conjugating a translation (0, a) by any element with point part q gives
 
 Everything downstream (torsion tests, abelianization, certificates) is
 phrased against this one convention.
+
+``ExtensionGroup`` multiplies on tables stored when it is built: the rows
+of each phi(q) as int tuples, the factor set, and q^-1 for every q.  A
+product or an inverse is then one pass over the n coordinates, each a
+factor-set entry plus one row of phi times a vector (plus a' for a
+product); ``validate_extension`` checks the cocycle identity on the same
+rows.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from math import lcm
+from operator import mul
 
 from .errors import GroupInputError
 from .gentor import (_UNSET, _free_name, _verify_product, conjugate, labeled_transversal,
                      order_mod_translation, power)
-from .intlin import IntMatrix, cokernel_structure, solve_integer_linear
+from .intlin import IntMatrix, _as_int, cokernel_structure, solve_integer_linear
 
 
 class ExtElement(namedtuple("ExtElement", "q a")):
@@ -33,7 +41,7 @@ class ExtElement(namedtuple("ExtElement", "q a")):
 
 
 def _vec(v) -> tuple:
-    return tuple(int(x) for x in v)
+    return tuple(map(_as_int, v))
 
 
 def _vadd(u, v) -> tuple:
@@ -55,12 +63,12 @@ class ExtensionSpec(namedtuple("ExtensionSpec", "q_size q_table n phi coc genera
         q_size x q_size array of n-vectors, ``generators`` an ordered list
         of (name, (q, a)) pairs.
         """
-        table = tuple(tuple(int(x) for x in row) for row in q_table)
+        table = tuple(_vec(row) for row in q_table)
         q_size = len(table)
         mats = tuple(m if isinstance(m, IntMatrix) else IntMatrix(m) for m in phi)
         n = mats[0].rows if mats else 0
         cocs = tuple(tuple(_vec(v) for v in row) for row in coc)
-        gens = tuple((str(name), ExtElement(int(q), _vec(a))) for name, (q, a) in generators)
+        gens = tuple((str(name), ExtElement(_as_int(q), _vec(a))) for name, (q, a) in generators)
         return cls(q_size, table, n, mats, cocs, gens)
 
 
@@ -214,13 +222,14 @@ def validate_extension(spec: ExtensionSpec) -> ValidationReport:
             for q in range(qs):
                 if coc[0][q] != zero or coc[q][0] != zero:
                     bad.append(f"factor set is not normalized at q={q}")
-            acts = [(s, phi[s].mat_vec) for s in gens]
+            acts = [(s, _rows(phi[s])) for s in gens]
             for q in range(qs):
                 row = table[q]
                 for r in range(qs):
                     left, right, v = coc[row[r]], table[r], coc[q][r]
-                    for s, act in acts:
-                        if _vadd(left[s], act(v)) != _vadd(coc[q][right[s]], coc[r][s]):
+                    for s, rows in acts:
+                        lhs = [c + sum(map(mul, m, v)) for c, m in zip(left[s], rows)]
+                        if lhs != [x + y for x, y in zip(coc[q][right[s]], coc[r][s])]:
                             bad.append(f"cocycle identity fails at ({q},{r},{s})")
     for name, g in spec.generator_names:
         if not (0 <= g.q < qs):
@@ -228,6 +237,11 @@ def validate_extension(spec: ExtensionSpec) -> ValidationReport:
         if len(g.a) != n:
             bad.append(f"generator {name}: vector has wrong length")
     return ValidationReport(tuple(bad))
+
+
+def _rows(m: IntMatrix) -> tuple:
+    """The rows of m as int tuples, those m holds (no copy)."""
+    return tuple(map(m.row, range(m.rows)))
 
 
 def abelianization_relations(spec: ExtensionSpec) -> IntMatrix:
@@ -281,6 +295,10 @@ class ExtensionGroup:
         self.spec = spec
         self.name = name
         self.generators = spec.generator_names
+        self._table = spec.q_table
+        self._coc = spec.coc
+        self._rows = tuple(map(_rows, spec.phi))
+        self._q_inv = tuple(row.index(0) for row in spec.q_table)
         self._ab = None
         self._torsion = _UNSET
 
@@ -290,22 +308,22 @@ class ExtensionGroup:
         return ExtElement(0, (0,) * self.spec.n)
 
     def mul(self, g: ExtElement, h: ExtElement) -> ExtElement:
-        s = self.spec
-        q = s.q_table[g.q][h.q]
-        return ExtElement(q, _vadd(_vadd(s.coc[g.q][h.q], s.phi[h.q].mat_vec(g.a)), h.a))
+        gq, ga = g
+        hq, ha = h
+        return ExtElement(self._table[gq][hq], tuple([
+            c + e + sum(map(mul, row, ga))
+            for c, e, row in zip(self._coc[gq][hq], ha, self._rows[hq])]))
 
     def inv(self, g: ExtElement) -> ExtElement:
-        s = self.spec
-        qi = self.q_inverse(g.q)
-        return ExtElement(qi, _vneg(_vadd(s.coc[g.q][qi], s.phi[qi].mat_vec(g.a))))
+        gq, ga = g
+        qi = self._q_inv[gq]
+        return ExtElement(qi, tuple([
+            -c - sum(map(mul, row, ga)) for c, row in zip(self._coc[gq][qi], self._rows[qi])]))
 
     conj = conjugate
     pow = power
     labeled_transversal = labeled_transversal
     order_mod_translation = order_mod_translation
-
-    def q_inverse(self, q: int) -> int:
-        return self.spec.q_table[q].index(0)
 
     def q_order(self, q: int) -> int:
         o, cur = 1, q
@@ -463,10 +481,10 @@ def spec_from_dict(data: dict) -> ExtensionSpec:
     non-integer entries, becomes GroupInputError here.
     """
     try:
-        n = int(data["n"])
+        n = _as_int(data["n"])
         generators = [(name, (entry["q"], entry["a"])) for name, entry in data["generators"].items()]
         spec = ExtensionSpec.build(data["q_table"], data["phi"], data["coc"], generators)
-        q_size = int(data["q_size"]) if "q_size" in data else spec.q_size
+        q_size = _as_int(data["q_size"]) if "q_size" in data else spec.q_size
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise GroupInputError(f"malformed group spec: {exc!r}") from None
     if q_size != spec.q_size:

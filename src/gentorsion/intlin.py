@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cached_property
 from math import gcd, lcm
+from operator import index
 
 
 class DimensionError(ValueError):
@@ -36,19 +37,29 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+def _as_int(x) -> int:
+    """x as an int when it is one; TypeError for anything else.
+
+    Floats, strings and bools are refused instead of truncated or parsed.
+    """
+    if isinstance(x, bool):
+        raise TypeError(f"expected an integer, got {x!r}")
+    return index(x)
+
+
 class IntMatrix:
     """Immutable dense matrix of Python ints.
 
     A matrix with zero rows still needs a column count, hence the explicit
-    ``cols`` argument for that case.  ``IntMatrix(data)`` converts and checks
-    every entry; matrices built inside the package from rows that already
-    hold ints go through ``_of`` instead.
+    ``cols`` argument for that case.  ``IntMatrix(data)`` checks that every
+    entry is an integer (``_as_int``) and the shape; matrices built inside
+    the package from rows that already hold ints go through ``_of`` instead.
     """
 
     __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, data, cols: int | None = None):
-        body = tuple(tuple(int(x) for x in row) for row in data)
+        body = tuple(tuple(map(_as_int, row)) for row in data)
         if body:
             width = len(body[0])
             if any(len(row) != width for row in body):

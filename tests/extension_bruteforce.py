@@ -6,19 +6,36 @@ every pair and triple of Q, O(|Q|^3 n^2).  ``abelianization_relations`` is
 the former presentation of G^ab, t = phi(q) t for every q and the product
 rule r_q r_r = r_{qr} t^{coc(q,r)} for every pair, |Q|^2 + n |Q| + 1 rows.
 ``center_rank`` reads the fixed sublattice from phi(q) - I for every q.
+``formula_mul`` and ``formula_inv`` are the former element arithmetic:
+the product and inverse formulas of ``gentorsion.extgroup`` evaluated with
+``IntMatrix.mat_vec`` and vector addition, reading the spec directly, where
+``ExtensionGroup`` multiplies on the rows and inverses it stores at build.
 
 The library checks and relates on a generating set of Q only, so the tests
 compare it against these.  They share no code with the library beyond the
-spec and report types and ``IntMatrix``.  Cost grows like |Q|^3; keep them
+spec and report types and ``IntMatrix``.  The checks cost |Q|^3; keep them
 to |Q| <= 16.
 """
 
-from gentorsion.extgroup import ValidationReport
+from gentorsion.extgroup import ExtElement, ValidationReport
 from gentorsion.intlin import IntMatrix, cokernel_structure
 
 
 def _vadd(u, v):
     return tuple(x + y for x, y in zip(u, v))
+
+
+def formula_mul(spec, g, h) -> ExtElement:
+    """(q, a) (q', a') = (q q', coc(q, q') + phi(q') a + a')."""
+    c = _vadd(spec.coc[g.q][h.q], spec.phi[h.q].mat_vec(g.a))
+    return ExtElement(spec.q_table[g.q][h.q], _vadd(c, h.a))
+
+
+def formula_inv(spec, g) -> ExtElement:
+    """(q, a)^-1 = (q^-1, -coc(q, q^-1) - phi(q^-1) a), q^-1 read off the table."""
+    qi = spec.q_table[g.q].index(0)
+    c = _vadd(spec.coc[g.q][qi], spec.phi[qi].mat_vec(g.a))
+    return ExtElement(qi, tuple(-x for x in c))
 
 
 def validate_extension(spec) -> ValidationReport:

@@ -314,7 +314,28 @@ def _set_generator_lattice_part(data):
     data["generators"]["a"]["a"] = 5
 
 
-@pytest.mark.parametrize("corrupt", [_set_n, _set_phi_entry, _set_generator_lattice_part])
+def _set(*path):
+    """Corruption that puts the value ``path[-1]`` at ``path[:-1]``."""
+    *keys, value = path
+
+    def corrupt(data):
+        target = data
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+    return corrupt
+
+
+# each must be refused, not truncated (0.5 -> 0, 1.9 -> 1) or parsed ("-1")
+NON_INTEGERS = [0.5, 1.9, 0.0, 1.0, "-1", "1", True, False, None]
+SPEC_ENTRIES = [("generators", "a", "a", 0), ("generators", "b", "q"), ("coc", 1, 1, 0),
+                ("q_table", 0, 0), ("phi", 1, 0, 0), ("n",), ("q_size",)]
+NON_INTEGER_SPECS = [pytest.param(_set(*where, value), id="/".join(map(str, where)) + f"={value!r}")
+                     for where in SPEC_ENTRIES for value in NON_INTEGERS]
+
+
+@pytest.mark.parametrize("corrupt", [_set_n, _set_phi_entry, _set_generator_lattice_part,
+                                     *NON_INTEGER_SPECS])
 def test_malformed_spec_content(tmp_path, capsys, corrupt):
     # validate and spec: share one parser, so both take the exit-2 path
     data = spec_to_dict(build_dihedral_infinite())
@@ -325,6 +346,26 @@ def test_malformed_spec_content(tmp_path, capsys, corrupt):
         code, out, err = invoke(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: malformed group spec")
+
+
+FREEABEXT = {"rank": 2, "q_table": [[0, 1], [1, 0]], "images": [1, 1]}
+
+
+@pytest.mark.parametrize("value", NON_INTEGERS, ids=repr)
+@pytest.mark.parametrize("kind, data, where", [
+    ("wreath", [[0, 1], [1, 0]], (1, 0)),
+    ("freeabext", FREEABEXT, ("images", 0)),
+    ("freeabext", FREEABEXT, ("rank",)),
+    ("freeabext", FREEABEXT, ("q_table", 1, 1)),
+], ids=["wreath-table", "freeabext-images", "freeabext-rank", "freeabext-table"])
+def test_file_addresses_reject_non_integer_entries(tmp_path, capsys, kind, data, where, value):
+    data = json.loads(json.dumps(data))
+    _set(*where, value)(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = invoke(capsys, "info", f"{kind}:{path}")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: expected")
 
 
 def test_spec_file_address(tmp_path, capsys):

@@ -8,6 +8,12 @@ give the same G^ab and the same centre rank on catalog specs and products
 up to |Q| = 16, and agree on ``ok`` when one entry of a catalog spec is
 corrupted.  The library's failure lines are the oracle's lines whose last
 index lies in S, in the oracle's order.
+
+``ExtensionGroup.mul``/``inv`` run on the phi rows and point inverses
+stored at build; they must give the elements the product and inverse
+formulas give through ``IntMatrix.mat_vec`` (``brute.formula_mul``/
+``formula_inv``) on every spec above, on promislow^3 and on a p6 group
+whose rows are not signed permutations.
 """
 
 import pytest
@@ -23,6 +29,7 @@ from gentorsion.catalog import (
 )
 from gentorsion.errors import GroupInputError
 from gentorsion.extgroup import (
+    ExtElement,
     ExtensionGroup,
     ExtensionSpec,
     abelianization_relations,
@@ -33,7 +40,7 @@ from gentorsion.extgroup import (
     validate_extension,
 )
 from gentorsion.gentor import SplitMix64, random_word_element
-from gentorsion.intlin import cokernel_structure
+from gentorsion.intlin import IntMatrix, cokernel_structure
 
 import extension_bruteforce as brute
 
@@ -249,3 +256,66 @@ def test_wreath_table_check_agrees_with_full_checks(table):
                 else:
                     assert want.ok and got == spec
     assert rejected == n * n * (n - 1)
+
+
+# -- element arithmetic on stored rows -------------------------------------
+
+
+def p6_spec():
+    """The split group Z^2 x| C6 with phi(k) = M^k, M = [[1, -1], [1, 0]]
+    (the rotation of the hexagonal lattice): rows with two nonzero
+    entries, which no catalog spec has."""
+    table = [[(i + j) % 6 for j in range(6)] for i in range(6)]
+    rotation = IntMatrix([[1, -1], [1, 0]])
+    phi = [IntMatrix.identity(2)]
+    for _ in range(5):
+        phi.append(phi[-1] @ rotation)
+    coc = [[[0, 0]] * 6 for _ in range(6)]
+    gens = [("t1", (0, [1, 0])), ("t2", (0, [0, 1])), ("r", (1, [0, 0]))]
+    return ExtensionSpec.build(table, phi, coc, gens)
+
+
+ARITHMETIC = {
+    **BUILT,
+    "promislow^3": direct_product(BUILT["promislow x promislow"], build_promislow()),
+    "p6": p6_spec(),
+}
+GROUPS = {name: ExtensionGroup(spec, name=name) for name, spec in ARITHMETIC.items()}
+word_settings = settings(derandomize=True, deadline=None, max_examples=200)
+
+
+def test_p6_rows_are_not_permutations():
+    rows = [row for m in ARITHMETIC["p6"].phi for row in m.to_lists()]
+    assert max(sum(x != 0 for x in row) for row in rows) == 2
+
+
+@pytest.mark.parametrize("name", sorted(ARITHMETIC))
+def test_arithmetic_matches_formula_on_every_point_pair(name):
+    spec, G = ARITHMETIC[name], GROUPS[name]
+    rng = SplitMix64(4000 + spec.q_size)
+
+    def element(q):
+        return ExtElement(q, tuple(rng.randrange(11) - 5 for _ in range(spec.n)))
+
+    for gq in range(spec.q_size):
+        g = element(gq)
+        assert G.inv(g) == brute.formula_inv(spec, g)
+        for hq in range(spec.q_size):
+            h = element(hq)
+            assert G.mul(g, h) == brute.formula_mul(spec, g, h)
+
+
+@word_settings
+@given(st.sampled_from(sorted(ARITHMETIC)),
+       st.lists(st.tuples(st.integers(0, 10**6), st.booleans()), max_size=16))
+def test_word_products_match_formula(name, word):
+    spec, G = ARITHMETIC[name], GROUPS[name]
+    gens = [g for _, g in spec.generator_names]
+    got = want = G.identity()
+    for pick, inverted in word:
+        letter = gens[pick % len(gens)]
+        got = G.mul(got, G.inv(letter) if inverted else letter)
+        want = brute.formula_mul(spec, want, brute.formula_inv(spec, letter) if inverted else letter)
+        assert got == want
+        assert type(got.a) is tuple
+    assert G.inv(got) == brute.formula_inv(spec, want)
