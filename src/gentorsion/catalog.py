@@ -24,7 +24,7 @@ from .extgroup import (
     validate_extension,
 )
 from .gentor import conjugate, is_generalized_torsion, power
-from .intlin import IntMatrix, _as_int
+from .intlin import _as_int
 from .metab import MetabGroup, build_K
 
 
@@ -246,35 +246,16 @@ class CasoloGroup:
     """Gamma = (ZP) x| (P x P) over the Promislow group P.
 
     The left P-factor acts on ZP by translation, the right one through the
-    sign character (a fixed surjection P -> {+-1}).  This backend is not
-    abelian-by-finite, so it deliberately omits the lattice capabilities;
-    it supports exact arithmetic and sampled identity checks.
+    sign character: the surjection P -> Q = C2 x C2 -> {+-1} that sends
+    the generators x and y to -1 and is trivial on the lattice.  This
+    backend is not abelian-by-finite, so it deliberately omits the lattice
+    capabilities; it supports exact arithmetic and sampled identity checks.
     """
 
     def __init__(self):
         self.P = ExtensionGroup(build_promislow(), name="promislow")
         self.name = "gamma"
-        ab = self.P.abelianization()
-        self._sign_coord = 0
-        if all(
-            ab.canonical(self.P.ab_vector(g))[0] % 2 == 0 for _, g in self.P.generators
-        ):
-            # first coordinate not surjective onto C2; fall back to the second
-            self._sign_coord = 1
-        if all(
-            ab.canonical(self.P.ab_vector(g))[self._sign_coord] % 2 == 0
-            for _, g in self.P.generators
-        ):
-            raise TheoremViolationError("no generator maps onto the sign character")
-        if ab.moduli[self._sign_coord] % 2:
-            raise TheoremViolationError("the sign coordinate has odd modulus")
-        # The modulus is even or 0, so the coordinate's parity is the parity
-        # of its row of to_canonical against ab_vector(h) = h.a + e_{h.q}:
-        # the odd lattice positions, summed, plus a parity per point index.
-        row = ab.to_canonical.row(self._sign_coord)
-        n = self.P.spec.n
-        self._sign_lattice = tuple(i for i in range(n) if row[i] % 2)
-        self._sign_point = tuple(x % 2 for x in row[n:])
+        self._sign = self._point_sign()
         delta = GroupRingElement.from_pairs([(self.P.identity(), 1)])
         one = self.P.identity()
         x = dict(self.P.generators)["x"]
@@ -287,10 +268,29 @@ class CasoloGroup:
             ("yr", GammaElement(GroupRingElement(()), one, y)),
         )
 
+    def _point_sign(self) -> tuple:
+        """The sign of each point index: x and y go to -1, through Q.
+
+        A walk of Q from 0 over the generators' point parts gives each index
+        the sign of the first path to reach it; the result must be a
+        character of Q, checked on the whole table.
+        """
+        table = self.P.spec.q_table
+        sign = [1] + [0] * (len(table) - 1)
+        order = [0]
+        for p in order:  # grows while it is read: a breadth-first walk
+            for _, g in self.P.generators:
+                q = table[p][g.q]
+                if not sign[q]:
+                    sign[q] = -sign[p]
+                    order.append(q)
+        if len(order) != len(table) or any(
+                sign[table[q][r]] != sign[q] * sign[r] for q in order for r in order):
+            raise TheoremViolationError("the generators do not define a sign character of Q")
+        return tuple(sign)
+
     def sign(self, h: ExtElement) -> int:
-        a = h.a
-        odd = self._sign_point[h.q] + sum(a[i] for i in self._sign_lattice)
-        return -1 if odd % 2 else 1
+        return self._sign[h.q]
 
     def _translate(self, g: ExtElement, r: GroupRingElement) -> GroupRingElement:
         return GroupRingElement(

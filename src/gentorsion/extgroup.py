@@ -65,7 +65,9 @@ class ExtensionSpec(namedtuple("ExtensionSpec", "q_size q_table n phi coc genera
         """
         table = tuple(_vec(row) for row in q_table)
         q_size = len(table)
-        mats = tuple(m if isinstance(m, IntMatrix) else IntMatrix(m) for m in phi)
+        # phi matrices are square, so one without rows is 0x0
+        mats = tuple(m if isinstance(m, IntMatrix) else IntMatrix(m, cols=None if m else 0)
+                     for m in phi)
         n = mats[0].rows if mats else 0
         cocs = tuple(tuple(_vec(v) for v in row) for row in coc)
         gens = tuple((str(name), ExtElement(_as_int(q), _vec(a))) for name, (q, a) in generators)
@@ -244,44 +246,48 @@ def _rows(m: IntMatrix) -> tuple:
     return tuple(map(m.row, range(m.rows)))
 
 
-def abelianization_relations(spec: ExtensionSpec) -> IntMatrix:
-    """Relation matrix of G^ab over n + |Q| generator columns.
+def abelianization_relations(spec: ExtensionSpec) -> tuple:
+    """Relation matrix of G^ab over n + |S| columns, and the image w_q of each (q, 0).
 
-    Columns are the lattice basis t_1..t_n followed by one symbol r_q per
-    point-group index.  The image of g = (q, a) is the vector (a | e_q).
-    With S = ``point_generating_set(spec)``, the rows are: t_i = phi(s) t_i
-    for every (s, i); r_q r_s = r_{qs} t^{coc(q,s)} for every q and s in S,
-    written as (-coc(q,s) | e_q + e_s - e_{qs}); and r_0 trivial.  That is
-    |Q| |S| + n |S| + 1 rows.
+    Columns are the lattice basis t_1..t_n followed by one symbol r_s per
+    s in S = ``point_generating_set(spec)``; (q, a) maps to (a | 0) + w_q.
+    Q is walked breadth-first from 0 over S: the edge p -> p s that first
+    reaches q sets w_q = w_p + e_s - (coc(p, s) | 0), so w_0 = 0 and
+    w_s = e_s.  The rows are t_i = phi(s) t_i for every (s, i) and
+    w_q + e_s - (coc(q, s) | 0) - w_{qs} for every pair (q, s) off the
+    tree, with zero and repeated rows dropped.
 
-    They span the rows of the full presentation, which has t = phi(q) t and
-    the product rule for every pair.  Every phi(q) is a product of the
-    phi(s), so modulo the t-rows of S every phi(q) acts trivially.  Then
-    the cocycle identity at (q, r, s) makes the row of (q, r s) the row of
-    (q, r) plus the row of (q r, s) minus the row of (r, s); by induction
-    on the length of r as a product of S, every pair's row is reached.
+    Start from the presentation over n + |Q| columns, one r_q per index,
+    with (q, a) -> (a | e_q): r_q r_s = r_{qs} t^{coc(q,s)} for every q and
+    s in S, the t-rows of S, and r_0 trivial.  These rows span those of
+    every pair: every phi(q) is a product of the phi(s), and the cocycle
+    identity at (q, r, s) makes the row of (q, r s) a sum of rows of pairs
+    shorter in r.  The row of a tree edge p -> p s holds r_{ps} with
+    coefficient -1 and, p coming first, defines it by symbols already
+    written as w_p and e_s (the edge 0 -> s defines r_0 = 0).  Eliminating
+    each in turn is a Tietze move: the cokernel is unchanged, the tree
+    rows vanish and every other row is rewritten through the w_q.
     """
-    n, qs = spec.n, spec.q_size
-    table, coc = spec.q_table, spec.coc
+    n, table, coc = spec.n, spec.q_table, spec.coc
     gens = point_generating_set(spec)
-    pad = [0] * qs
-    rows = []
-    for s in gens:
-        for i, col in enumerate(zip(*spec.phi[s].to_lists())):
-            row = [-x for x in col] + pad
-            row[i] += 1
-            rows.append(row)
-    for q in range(qs):
-        for s in gens:
-            row = [-x for x in coc[q][s]] + pad
-            row[n + q] += 1
-            row[n + s] += 1
-            row[n + table[q][s]] -= 1
-            rows.append(row)
-    last = [0] * (n + qs)
-    last[n] = 1
-    rows.append(last)
-    return IntMatrix._of(rows, n + qs)
+    pad = (0,) * len(gens)
+    rows = [tuple(int(i == j) - x for j, x in enumerate(col)) + pad
+            for s in gens for i, col in enumerate(zip(*_rows(spec.phi[s])))]
+    units = [pad[:j] + (1,) + pad[j + 1:] for j in range(len(gens))]
+    w = [None] * spec.q_size
+    w[0] = (0,) * n + pad
+    order = [0]
+    for p in order:  # grows while it is read: a breadth-first walk
+        for s, unit in zip(gens, units):
+            q = table[p][s]
+            step = _vadd(w[p], _vneg(coc[p][s]) + unit)
+            if w[q] is None:
+                w[q] = step
+                order.append(q)
+            else:
+                rows.append(_vadd(step, _vneg(w[q])))
+    rows = [row for row in dict.fromkeys(rows) if any(row)]
+    return IntMatrix._of(rows, n + len(gens)), tuple(w)
 
 
 class ExtensionGroup:
@@ -299,6 +305,8 @@ class ExtensionGroup:
         self._coc = spec.coc
         self._rows = tuple(map(_rows, spec.phi))
         self._q_inv = tuple(row.index(0) for row in spec.q_table)
+        self._relations, images = abelianization_relations(spec)
+        self._images = tuple((w[:spec.n], w[spec.n:]) for w in images)
         self._ab = None
         self._torsion = _UNSET
 
@@ -350,13 +358,12 @@ class ExtensionGroup:
 
     def abelianization(self):
         if self._ab is None:
-            self._ab = cokernel_structure(abelianization_relations(self.spec))
+            self._ab = cokernel_structure(self._relations)
         return self._ab
 
     def ab_vector(self, g: ExtElement) -> tuple:
-        e = [0] * self.spec.q_size
-        e[g.q] = 1
-        return g.a + tuple(e)
+        lattice, point = self._images[g.q]
+        return _vadd(g.a, lattice) + point
 
     # -- structure ----------------------------------------------------------
 
@@ -378,7 +385,7 @@ class ExtensionGroup:
             o = self.q_order(q)
             c = self.pow(ExtElement(q, (0,) * s.n), o).a
             cols = [_vadd(self.pow(ExtElement(q, e), o).a, _vneg(c)) for e in _basis(s.n)]
-            x = solve_integer_linear(IntMatrix(zip(*cols), cols=s.n), _vneg(c))
+            x = solve_integer_linear(IntMatrix._of(zip(*cols), s.n), _vneg(c))
             if x is not None:
                 return ExtElement(q, _vec(x))
         return None

@@ -82,11 +82,21 @@ class MetabGroup:
         self._shifts = self._shift_table()
 
         # power relations x^N = c^{g3}, y^N = c^{g4}, by unreduced collection
-        # of the relators (x^{qn})^{Psi_{qm}(y)} and (y^{qm})^{Psi_{qn}(x)}
-        cover = SimpleNamespace(identity=lambda: (0, 0, self._zero),
-                                mul=self._raw_mul, inv=self._raw_inv)
-        self.g3 = self._neg(self._relator_tail(cover, "x"))
-        self.g4 = self._neg(self._relator_tail(cover, "y"))
+        # of the relators prod_{j < qm} (x^{qn})^{y^j} = (x^{qn} y^-1)^{qm} y^{qm}
+        # and prod_{j < qn} (y^{qm})^{x^j} = (y^{qm} x^-1)^{qn} x^{qn}, which
+        # the presentation forces to be trivial: they collect to x^N c^w and
+        # y^N c^w, so x^N = c^{-w} (and y^N likewise)
+        z = self._zero
+        cover = SimpleNamespace(identity=lambda: (0, 0, z), mul=self._raw_mul, inv=self._raw_inv)
+        tails = []
+        for base, unit, steps, want in (((self.qn, 0, z), (0, 1, z), self.qm, (self.N, 0)),
+                                        ((0, self.qm, z), (1, 0, z), self.qn, (0, self.N))):
+            a, b, w = self._raw_mul(
+                power(cover, self._raw_mul(base, self._raw_inv(unit)), steps),
+                power(cover, unit, steps))
+            assert (a, b) == want
+            tails.append(self._neg(w))
+        self.g3, self.g4 = tails
 
         # S = Z norm exactly when every consistency vector is a multiple of
         # the norm, with multiples of gcd 1; then M is torsion-free and the
@@ -200,24 +210,6 @@ class MetabGroup:
             else:
                 raise GroupInputError(f"unknown generator {name!r}")
         return out
-
-    def _relator_tail(self, cover, letter: str):
-        """Commutator part of the collected relator for x (or y).
-
-        For x: collect prod_{j < qm} (x^{qn})^{y^j}, which the presentation
-        forces to be trivial; the result is (N, 0, w), so x^N = c^{-w}.
-        ``cover`` is the cover as a group: ``identity``, ``mul``, ``inv``.
-        """
-        if letter == "x":
-            base, steps, unit = (self.qn, 0, self._zero), self.qm, (0, 1)
-        else:
-            base, steps, unit = (0, self.qm, self._zero), self.qn, (1, 0)
-        out = (0, 0, self._zero)
-        for j in range(steps):
-            out = self._raw_mul(out, conjugate(cover, base, (unit[0] * j, unit[1] * j, self._zero)))
-        a, b, w = out
-        assert (a, b) == (base[0] * steps, base[1] * steps)
-        return w
 
     def _consistency_vectors(self, cover):
         """Module generators of the relation submodule S.

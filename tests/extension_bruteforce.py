@@ -4,7 +4,8 @@
 point-group table, the anti-homomorphism and the cocycle identity over
 every pair and triple of Q, O(|Q|^3 n^2).  ``abelianization_relations`` is
 the former presentation of G^ab, t = phi(q) t for every q and the product
-rule r_q r_r = r_{qr} t^{coc(q,r)} for every pair, |Q|^2 + n |Q| + 1 rows.
+rule r_q r_r = r_{qr} t^{coc(q,r)} for every pair, |Q|^2 + n |Q| + 1 rows;
+``ab_vector`` is the image (a | e_q) of (q, a) in it.
 ``center_rank`` reads the fixed sublattice from phi(q) - I for every q.
 ``formula_mul`` and ``formula_inv`` are the former element arithmetic:
 the product and inverse formulas of ``gentorsion.extgroup`` evaluated with
@@ -128,6 +129,10 @@ def abelianization_relations(spec) -> IntMatrix:
     last[n] = 1
     rows.append(last)
     return IntMatrix(rows, cols=cols)
+
+
+def ab_vector(spec, g) -> tuple:
+    return tuple(g.a) + tuple(int(q == g.q) for q in range(spec.q_size))
 
 
 def center_rank(spec) -> int:

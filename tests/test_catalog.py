@@ -221,17 +221,20 @@ def test_gamma_sign_character(gamma):
     assert -1 in signs
 
 
-def test_gamma_sign_parity_form_matches_canonical(gamma):
-    """The precomputed parity form agrees with reading the sign coordinate
-    off the canonical form of G^ab, on random elements of P."""
+def test_gamma_sign_pinned_and_multiplicative(gamma):
+    """The sign is the stated character: -1 on the point indices of x and
+    y, multiplicative, and trivial on the lattice."""
     P = gamma.P
-    ab = P.abelianization()
+    zero = (0,) * P.spec.n
+    assert [gamma.sign(ExtElement(q, zero)) for q in range(P.spec.q_size)] == [1, -1, -1, 1]
     rng = SplitMix64(31)
     for _ in range(500):
-        h = ExtElement(rng.randrange(P.spec.q_size),
-                       tuple(rng.randrange(61) - 30 for _ in range(P.spec.n)))
-        want = -1 if ab.canonical(P.ab_vector(h))[gamma._sign_coord] % 2 else 1
-        assert gamma.sign(h) == want
+        g, h = (ExtElement(rng.randrange(P.spec.q_size),
+                           tuple(rng.randrange(61) - 30 for _ in range(P.spec.n)))
+                for _ in range(2))
+        assert gamma.sign(P.mul(g, h)) == gamma.sign(g) * gamma.sign(h)
+    for i in range(P.spec.n):
+        assert gamma.sign(ExtElement(0, tuple(int(i == j) for j in range(P.spec.n)))) == 1
 
 
 def test_gamma_sigma_candidates(gamma):

@@ -500,6 +500,31 @@ def test_empty_point_group(tmp_path, capsys):
     assert err.startswith("error: invalid multiplication table: q_table is empty")
 
 
+def test_finite_group_without_lattice(tmp_path, capsys):
+    # n = 0: the group is C2 itself, so its phi entries are 0x0 and every
+    # element is torsion
+    spec = tmp_path / "c2.json"
+    spec.write_text(json.dumps({
+        "q_size": 2, "q_table": [[0, 1], [1, 0]], "n": 0, "phi": [[], []],
+        "coc": [[[], []], [[], []]], "generators": {"a": {"q": 1, "a": []}}}))
+    assert invoke(capsys, "validate", str(spec)) == (0, "valid=true\n", "")
+
+    code, out, err = invoke(capsys, "info", f"spec:{spec}")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    for line in ("abelianization=C2", "torsion_free=false", "center_rank=0"):
+        assert line in lines
+
+    code, out, err = invoke(capsys, "witness", f"spec:{spec}", "a")
+    assert code == 0 and err == ""
+    cert = json.loads(out)
+    assert cert["length"] == 2 and cert["verified"] is True
+
+    code, out, err = invoke(capsys, "identity", f"spec:{spec}")
+    assert code == 0 and err == ""
+    assert {"mode=universal", "verified=true"} <= set(out.splitlines())
+
+
 def test_usage_errors(capsys):
     assert run([]) == 2
     capsys.readouterr()

@@ -111,7 +111,8 @@ def test_commutator_module_matches_full_smith_form(pnm):
 def test_catalog_abelianization_matches_full_smith_form(name):
     spec = CATALOG[name]()
     G = ExtensionGroup(spec, name=name)
-    want = reference_structure(abelianization_relations(spec))
+    relations, _ = abelianization_relations(spec)
+    want = reference_structure(relations)
     assert_same_structure(G.abelianization(), want)
     rng = SplitMix64(2000 + len(name))
     for _ in range(40):

@@ -6,8 +6,10 @@ point group (``point_generating_set``).  ``extension_bruteforce`` keeps the
 former checks over every pair and triple; both must accept the same specs,
 give the same G^ab and the same centre rank on catalog specs and products
 up to |Q| = 16, and agree on ``ok`` when one entry of a catalog spec is
-corrupted.  The library's failure lines are the oracle's lines whose last
-index lies in S, in the oracle's order.
+corrupted.  G^ab is compared through orders only, each side reading its
+own presentation, so neither column layout is pinned.  The library's
+failure lines are the oracle's lines whose last index lies in S, in the
+oracle's order.
 
 ``ExtensionGroup.mul``/``inv`` run on the phi rows and point inverses
 stored at build; they must give the elements the product and inverse
@@ -157,9 +159,24 @@ def test_abelianization_matches_full_relations(name):
     assert got.free_rank == want.free_rank
     rng = SplitMix64(3000 + spec.q_size)
     elements = [g for _, g in G.generators] + [random_word_element(G, rng, 12) for _ in range(20)]
-    for g in elements:
-        v = G.ab_vector(g)
-        assert got.order_of(v) == want.order_of(v)
+    for g, h in zip(elements, elements[1:] + elements[:1]):
+        for x in (g, G.mul(g, G.inv(h))):
+            assert got.order_of(G.ab_vector(x)) == want.order_of(brute.ab_vector(spec, x))
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_ab_vector_is_homomorphism(name):
+    spec = BUILT[name]
+    G = ExtensionGroup(spec, name=name)
+    ab = G.abelianization()
+    rng = SplitMix64(4000 + spec.q_size)
+    for _ in range(40):
+        g, h = (ExtElement(rng.randrange(spec.q_size), tuple(rng.randrange(21) - 10
+                                                             for _ in range(spec.n)))
+                for _ in range(2))
+        lhs = ab.canonical(G.ab_vector(G.mul(g, h)))
+        rhs = ab.canonical(tuple(u + v for u, v in zip(G.ab_vector(g), G.ab_vector(h))))
+        assert lhs == rhs
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
@@ -170,8 +187,15 @@ def test_center_rank_matches_all_rows(name):
 
 def test_abelianization_row_count():
     for spec in BUILT.values():
-        k = len(point_generating_set(spec))
-        assert abelianization_relations(spec).rows == spec.q_size * k + spec.n * k + 1
+        gens = point_generating_set(spec)
+        k, width = len(gens), spec.n + len(gens)
+        relations, images = abelianization_relations(spec)
+        assert relations.cols == width
+        # the |Q| - 1 tree rows vanish, and so does the r_0 row
+        assert relations.rows <= spec.n * k + spec.q_size * k - (spec.q_size - 1)
+        assert images[0] == (0,) * width
+        for j, s in enumerate(gens):
+            assert images[s] == tuple(int(i == spec.n + j) for i in range(width))
 
 
 # -- corrupted specs -------------------------------------------------------
