@@ -292,22 +292,31 @@ class CasoloGroup:
     def sign(self, h: ExtElement) -> int:
         return self._sign[h.q]
 
-    def _translate(self, g: ExtElement, r: GroupRingElement) -> GroupRingElement:
-        return GroupRingElement(
-            tuple(sorted((self.P.mul(g, key), c) for key, c in r.items))
-        )
+    def _ring_sum(self, base: GroupRingElement, g: ExtElement, r: GroupRingElement,
+                  k: int) -> GroupRingElement:
+        """base + k (g r): r's keys moved by g into one dict over base's
+        items, sorted once.  g r has distinct keys, as g acts bijectively."""
+        if not r.items:
+            return base
+        acc = dict(base.items)
+        mul = self.P.mul
+        for key, c in r.items:
+            key = mul(g, key)
+            acc[key] = acc.get(key, 0) + k * c
+        return GroupRingElement(tuple(sorted(item for item in acc.items() if item[1])))
 
     def identity(self) -> GammaElement:
         return GammaElement(GroupRingElement(()), self.P.identity(), self.P.identity())
 
     def mul(self, a: GammaElement, b: GammaElement) -> GammaElement:
-        ring = a.ring + self._translate(a.g, b.ring).scaled(self.sign(a.h))
-        return GammaElement(ring, self.P.mul(a.g, b.g), self.P.mul(a.h, b.h))
+        P = self.P
+        ring = self._ring_sum(a.ring, a.g, b.ring, self._sign[a.h.q])
+        return GammaElement(ring, P.mul(a.g, b.g), P.mul(a.h, b.h))
 
     def inv(self, a: GammaElement) -> GammaElement:
         gi = self.P.inv(a.g)
         hi = self.P.inv(a.h)
-        ring = self._translate(gi, a.ring).scaled(-self.sign(hi))
+        ring = self._ring_sum(GroupRingElement(()), gi, a.ring, -self._sign[hi.q])
         return GammaElement(ring, gi, hi)
 
     conj = conjugate

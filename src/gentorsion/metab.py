@@ -25,7 +25,14 @@ d - 1; a group failing the check is a theorem violation.  The build
 collects in the cover, the group where only the ring relations hold,
 with the shared square-and-multiply ``power`` and ``conjugate``.
 
-Ring elements are plain integer tuples of length d = p^{n+m}, indexed by
+The build's collection in the cover and the group's ``mul`` and ``inv``
+share one body, ``_raw_mul``: one pass over the ring vector that shifts,
+adds, and subtracts the master identity's correction in closed form.
+``_make`` then folds the exponents into [0, N) and reduces modulo the
+norm.
+
+Ring elements are integer tuples, or lists fresh from ``_raw_mul``, of
+length d = p^{n+m}, indexed by
 (i, j) -> i * p^m + j for the monomial X^i Y^j.  An element stores its
 commutator exponent v by the coordinates v_k - v_0, k = 1, ..., d - 1:
 the entries after the first of v - v_0 norm.  These coordinates are the
@@ -35,7 +42,9 @@ only representation of M.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import repeat
 from math import gcd, lcm
+from operator import add, itemgetter, neg, sub
 from types import SimpleNamespace
 
 from .errors import GroupInputError, TheoremViolationError
@@ -121,7 +130,8 @@ class MetabGroup:
     # -- ring helpers (vectors over the monomial basis X^i Y^j) -------------
 
     def _shift_table(self):
-        """Index permutation of each shift X^a Y^b, at a * qm + b.
+        """Index permutation of each shift X^a Y^b, at a * qm + b, as an
+        ``itemgetter`` that reads a shifted vector into a tuple.
 
         Multiplying by X^a Y^b moves the coefficient of X^i Y^j to
         X^{i+a} Y^{j+b}, so entry k = i * qm + j of the result is read from
@@ -132,11 +142,11 @@ class MetabGroup:
         table = []
         for a in range(qn):
             rows = [((i - a) % qn) * qm for i in range(qn)]
-            table.extend(tuple(r + c for r in rows for c in cols[b]) for b in range(qm))
+            table.extend(itemgetter(*(r + c for r in rows for c in cols[b])) for b in range(qm))
         return table
 
     def _shift(self, v, a: int, b: int):
-        return tuple(map(v.__getitem__, self._shifts[(a % self.qn) * self.qm + b % self.qm]))
+        return self._shifts[(a % self.qn) * self.qm + b % self.qm](v)
 
     @staticmethod
     def _add(u, v):
@@ -155,7 +165,7 @@ class MetabGroup:
         """Psi_k(T) modulo T^modulus - 1, as a coefficient list."""
         if k >= 0:
             base, extra = divmod(k, modulus)
-            return [base + 1 if i < extra else base for i in range(modulus)]
+            return [base + 1] * extra + [base] * (modulus - extra)
         pos = MetabGroup._psi(-k, modulus)
         return [-pos[(i - k) % modulus] for i in range(modulus)]
 
@@ -178,19 +188,34 @@ class MetabGroup:
     # -- collection in the cover (no power folding; _make folds) ----------
 
     def _raw_mul(self, g1, g2):
+        """x^a1 y^b1 c^v1 * x^a2 y^b2 c^v2, collected in one pass.
+
+        c^v1 moves past x^a2 y^b2 as X^a2 Y^b2 v1, and y^b1 past x^a2 leaves
+        [x^a2, y^b1]^-1 conjugated by y^b2.  By the master identity that is
+        c to the minus Psi_a2(X) Psi_b1(Y) Y^b2, whose entry (i, j) is
+        Psi_a2[i] Psi_b1[(j - b2) mod qm].  For every integer k,
+        Psi_k(T) mod T^q - 1 is t + 1 on T^i for i < r and t after, with
+        (t, r) = divmod(k, q); so the correction is two rows repeated.
+        The ring part is returned as a fresh list.
+        """
         a1, b1, v1 = g1
         a2, b2, v2 = g2
-        v = self._add(self._shift(v1, a2, b2), v2)
-        if a2 and b1:
-            v = self._add(v, self._neg(self._shift(self._psi_product(a2, b1), 0, b2)))
-        return (a1 + a2, b1 + b2, v)
+        qn, qm = self.qn, self.qm
+        v = map(add, self._shifts[(a2 % qn) * qm + b2 % qm](v1), v2)
+        if not (a2 and b1):
+            return (a1 + a2, b1 + b2, list(v))
+        tx, rx = divmod(a2, qn)
+        py = self._psi(b1, qm)
+        s = qm - b2 % qm
+        py = py[s:] + py[:s]  # Y^b2 Psi_b1(Y)
+        corr = list(map((tx + 1).__mul__, py)) * rx + list(map(tx.__mul__, py)) * (qn - rx)
+        return (a1 + a2, b1 + b2, list(map(sub, v, corr)))
 
     def _raw_inv(self, g):
-        a, b, v = g
-        out = self._neg(self._shift(v, -a, -b))
-        if a and b:
-            out = self._add(out, self._shift(self._psi_product(-a, b), 0, -b))
-        return (-a, -b, out)
+        """The inverse in the cover: g * (x^-a y^-b) = c^w makes it x^-a y^-b c^-w."""
+        a, b, _ = g
+        _, _, w = self._raw_mul(g, (-a, -b, self._zero))
+        return (-a, -b, list(map(neg, w)))
 
     def collect_unreduced(self, word):
         """Collect a word over {x, y, c} without applying power relations.
@@ -236,16 +261,30 @@ class MetabGroup:
 
         Folding x^N picks up c^{g3} conjugated past the pending y^beta, so
         the shift uses beta before its own reduction.  The coordinates of
-        v in M = Z^d / Z norm are v_k - v_0 for k >= 1.
+        v in M = Z^d / Z norm are v_k - v_0 for k >= 1.  Products and
+        inverses of normal forms fold each exponent at most once, which
+        adds or subtracts the tail without scaling it.
         """
-        k, alpha = divmod(alpha, self.N)
-        if k:
-            v = self._add(v, self._scale(self._shift(self.g3, 0, beta), k))
-        l, beta = divmod(beta, self.N)
-        if l:
-            v = self._add(v, self._scale(self.g4, l))
+        N = self.N
+        if not 0 <= alpha < N:
+            k, alpha = divmod(alpha, N)
+            v = self._fold(v, self._shift(self.g3, 0, beta), k)
+        if not 0 <= beta < N:
+            l, beta = divmod(beta, N)
+            v = self._fold(v, self.g4, l)
         v0 = v[0]
-        return MetabElement(self.key, alpha, beta, tuple(x - v0 for x in v[1:]))
+        tail = v[1:]
+        coords = tuple(map(sub, tail, repeat(v0)) if v0 else tail)
+        return MetabElement(self.key, alpha, beta, coords)
+
+    @staticmethod
+    def _fold(v, tail, k: int):
+        """v + k tail."""
+        if k == 1:
+            return list(map(add, v, tail))
+        if k == -1:
+            return list(map(sub, v, tail))
+        return list(map(add, v, map(k.__mul__, tail)))
 
     def identity(self) -> MetabElement:
         return self._make(0, 0, self._zero)
@@ -255,8 +294,10 @@ class MetabGroup:
             raise GroupInputError(f"element of K{g.key} used in K{self.key}")
 
     def mul(self, g: MetabElement, h: MetabElement) -> MetabElement:
-        self._check(g)
-        self._check(h)
+        key = self.key
+        if g.key != key or h.key != key:
+            self._check(g)
+            self._check(h)
         # (0,) + coords represents the class; shifts fix the norm
         return self._make(*self._raw_mul((g.alpha, g.beta, (0,) + g.coords),
                                          (h.alpha, h.beta, (0,) + h.coords)))

@@ -19,8 +19,10 @@ the norm row, the module every build once eliminated.
 4d-row presentation of S that the library once eliminated on every build;
 ``closure_module`` is its cokernel.  ``RawK`` is the former element
 arithmetic: it carries an unreduced ring vector through products and
-inverses and reads canonical coordinates from ``closure_module``, so the
-tests compare the library's reduction modulo the norm against it.
+inverses (``raw_mul``, ``raw_inv``) and reads canonical coordinates from
+``closure_module``, so the tests compare the library's reduction modulo
+the norm against it.  Beyond N = 16 that Smith form is too costly, and
+``norm_coords`` reads the coordinates as v_k - v_0 instead.
 
 The oracles multiply with their own ``affine_mul``, written apart from
 the library's collection code, so they do not share a multiplier with the
@@ -202,9 +204,32 @@ def _affine_concrete(G, g):
     return (g.alpha, g.beta, G._zero, (0,) + g.coords)
 
 
+def raw_mul(G, g, h):
+    """Product of (alpha, beta, raw) forms by ``affine_mul``, with the
+    formal slot unused; raw stays an unreduced ring vector."""
+    a, b, _, c = affine_mul(G, (g[0], g[1], G._zero, g[2]), (h[0], h[1], G._zero, h[2]))
+    return (a, b, c)
+
+
+def raw_inv(G, g):
+    """c^-v y^-b x^-a, multiplied out letter by letter."""
+    a, b, v = g
+    out = raw_mul(G, (0, 0, G._neg(v)), (0, -b, G._zero))
+    return raw_mul(G, out, (-a, 0, G._zero))
+
+
+def norm_coords(v):
+    """Coordinates of v in Z^d / Z norm, the entries v_k - v_0 for k >= 1.
+
+    They are M's canonical coordinates on every group whose build passed
+    the S = Z norm check, with no Smith form of the closure of S.
+    """
+    return tuple(x - v[0] for x in v[1:])
+
+
 class RawK:
     """K(p^n, p^m) elements as (alpha, beta, raw) with an unreduced ring
-    vector raw, multiplied by ``affine_mul`` with the formal slot unused.
+    vector raw, multiplied by ``raw_mul`` and ``raw_inv``.
 
     ``coords`` reads canonical coordinates from the Smith cokernel of the
     full closure of S, as every element did before the library reduced
@@ -216,16 +241,10 @@ class RawK:
         self.module = closure_module(G)
 
     def mul(self, g, h):
-        G = self.G
-        a, b, _, c = affine_mul(G, (g[0], g[1], G._zero, g[2]), (h[0], h[1], G._zero, h[2]))
-        return (a, b, c)
+        return raw_mul(self.G, g, h)
 
     def inv(self, g):
-        """c^-v y^-b x^-a, multiplied out letter by letter."""
-        G = self.G
-        a, b, v = g
-        out = self.mul((0, 0, G._neg(v)), (0, -b, G._zero))
-        return self.mul(out, (-a, 0, G._zero))
+        return raw_inv(self.G, g)
 
     def coords(self, g):
         return self.module.canonical(g[2])

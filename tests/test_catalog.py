@@ -5,6 +5,7 @@ import pytest
 
 from gentorsion.catalog import (
     FreeAbelExtInput,
+    GammaElement,
     GroupRingElement,
     build_casolo_gamma,
     build_dihedral_infinite,
@@ -23,6 +24,8 @@ from gentorsion.gentor import (
     is_generalized_torsion,
     random_word_element,
 )
+
+import gamma_bruteforce as brute
 
 C2 = [[0, 1], [1, 0]]
 C3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
@@ -209,6 +212,35 @@ def test_gamma_group_laws(gamma):
         assert gamma.mul(gamma.mul(a, b), c) == gamma.mul(a, gamma.mul(b, c))
         assert gamma.mul(a, gamma.inv(a)) == gamma.identity()
         assert gamma.conj(gamma.conj(a, b), c) == gamma.conj(a, gamma.mul(b, c))
+
+
+def test_gamma_arithmetic_agrees_with_formula(gamma):
+    """``mul`` and ``inv`` against the former translate, scale and add
+    arithmetic on 500 seeded pairs with non-empty rings on both sides,
+    over both signs of the left factor's right part."""
+    P = gamma.P
+    rng = SplitMix64(18)
+
+    def point():
+        return ExtElement(rng.randrange(P.spec.q_size),
+                          tuple(rng.randrange(7) - 3 for _ in range(P.spec.n)))
+
+    def draw():
+        ring = GroupRingElement(())
+        while not ring.items:
+            ring = GroupRingElement.from_pairs(
+                (point(), rng.randrange(9) - 4) for _ in range(1 + rng.randrange(4)))
+        return GammaElement(ring, point(), point())
+
+    signs = set()
+    for _ in range(500):
+        a, b = draw(), draw()
+        signs.add(gamma.sign(a.h))
+        for got, want in ((gamma.mul(a, b), brute.formula_mul(gamma, a, b)),
+                          (gamma.inv(a), brute.formula_inv(gamma, a))):
+            assert got.ring.items == want.ring.items
+            assert (got.g, got.h) == (want.g, want.h)
+    assert signs == {1, -1}
 
 
 def test_gamma_sign_character(gamma):

@@ -173,6 +173,16 @@ def test_grouped_collection_matches_single_letters(k211):
         assert k211.collect_unreduced(grouped) == k211.collect_unreduced(letters)
 
 
+def test_psi_is_two_runs_for_every_exponent():
+    """Psi_k(T) mod T^q - 1 is t + 1 on T^i for i < r and t after, with
+    (t, r) = divmod(k, q), negative k included: the closed form the
+    collection's correction term is built from."""
+    for q in (2, 3, 4, 8, 13):
+        for k in range(-3 * q, 3 * q + 1):
+            t, r = divmod(k, q)
+            assert MetabGroup._psi(k, q) == [t + 1] * r + [t] * (q - r), (k, q)
+
+
 def test_relator_tails_frozen(k211):
     assert k211.g3 == (-1, 0, -1, 0)
     assert k211.g4 == (1, 1, 0, 0)

@@ -7,7 +7,9 @@ and the centre by the augmentation of the consistency vectors.  The
 oracles in ``metab_bruteforce`` multiply unreduced vectors and read
 coordinates from the full shift closure of S, and try every residue with
 stacked d x 5d solves; both must give the same answers on every group
-with N <= 16.  The build's g3, g4 and consistency vectors are recollected
+with N <= 16.  Past that, products and inverses on five groups up to the
+cap are compared with the oracle's multiplier, reduced to v_k - v_0.
+The build's g3, g4 and consistency vectors are recollected
 letter by letter with the oracle's multiplier on every group with
 N <= 64.  No K has torsion or a nontrivial centre, so the other
 outcome of each check is reached by injection: power relations x^N or
@@ -132,6 +134,40 @@ def test_arithmetic_agrees_with_unreduced_oracle(pnm):
         for want, got in ((raw.mul(g, h), G.mul(G._make(*g), G._make(*h))),
                           (raw.inv(g), G.inv(G._make(*g)))):
             assert (got.alpha, got.beta, got.coords) == (want[0], want[1], raw.coords(want))
+
+
+@pytest.mark.parametrize("pnm", ((2, 2, 4), (2, 4, 4), (13, 1, 1), (2, 1, 7), (2, 7, 1)),
+                         ids=group_id)
+def test_arithmetic_beyond_16_agrees_with_affine_oracle(pnm):
+    """Products and inverses against the oracle's ``affine_mul``, past the
+    Smith form of the closure: its constant part is reduced to v_k - v_0,
+    which is M's canonical form because the build checked S = Z norm.
+
+    Every product carries the master identity's correction (a2 b1 != 0),
+    and the draws cover folding x (alpha1 + alpha2 >= N), folding y
+    (beta1 + beta2 >= N), both and neither.
+    """
+    G = build_K(*pnm)
+    N = G.N
+    rng = SplitMix64(9 + seed_of(pnm))
+
+    def exponents(fold):
+        """(e1, e2) in [1, N)^2, with e1 + e2 >= N exactly when fold."""
+        if fold:
+            e1 = 1 + rng.randrange(N - 1)
+            return e1, N - e1 + rng.randrange(e1)
+        e1 = 1 + rng.randrange(N - 2)
+        return e1, 1 + rng.randrange(N - 1 - e1)
+
+    for i in range(32):
+        fold_x, fold_y = bool(i % 2), bool(i // 2 % 2)
+        (a1, a2), (b1, b2) = exponents(fold_x), exponents(fold_y)
+        g, h = (a1, b1, rand_vec(rng, G.d)), (a2, b2, rand_vec(rng, G.d))
+        assert a2 * b1 != 0 and (a1 + a2 >= N, b1 + b2 >= N) == (fold_x, fold_y)
+        for want, got in ((brute.raw_mul(G, g, h), G.mul(G._make(*g), G._make(*h))),
+                          (brute.raw_inv(G, g), G.inv(G._make(*g)))):
+            assert (got.alpha, got.beta, got.coords) == (want[0], want[1],
+                                                         brute.norm_coords(want[2]))
 
 
 oracle_settings = settings(derandomize=True, deadline=None, max_examples=25)
