@@ -16,19 +16,29 @@ conjugating a translation (0, a) by any element with point part q gives
 Everything downstream (torsion tests, abelianization, certificates) is
 phrased against this one convention.
 
-``ExtensionGroup`` multiplies on tables stored when it is built: the rows
-of each phi(q) as int tuples, the factor set, and q^-1 for every q.  A
-product or an inverse is then one pass over the n coordinates, each a
-factor-set entry plus one row of phi times a vector (plus a' for a
-product); ``validate_extension`` checks the cocycle identity on the same
-rows.
+``ExtensionGroup`` multiplies on tables stored when it is built: the
+factor set, q^-1 for every q, and each phi(q) as gather layers (the
+ELLPACK form of a sparse matrix).  With w the largest number of nonzero
+entries in a row of phi(q), layer t holds for every row i one column
+idx_t[i] and its coefficient co_t[i], rows with fewer entries padded by
+(0, 0), so
+
+    (phi(q) a)_i = sum_t co_t[i] a[idx_t[i]],
+
+where a layer reads a[idx_t] with one ``itemgetter``.  A signed
+permutation, as every phi of dinf, klein, promislow and Z wr Q is, is
+one layer; a dense phi is n layers.  A product is coc(q, q') + a' plus one vector pass per layer of
+phi(q'), and an inverse the same on q^-1, negated once.
+``validate_extension`` checks the cocycle identity on the same layers,
+and the anti-homomorphism as row i of phi(s) phi(q) = sum_t co_t[i]
+(row idx_t[i] of phi(q)): O(w n^2) per pair, not O(n^3).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from math import lcm
-from operator import mul
+from operator import add, itemgetter, mul, neg
 
 from .errors import GroupInputError
 from .gentor import (_UNSET, _free_name, _verify_product, conjugate, labeled_transversal,
@@ -178,9 +188,12 @@ def validate_extension(spec: ExtensionSpec) -> ValidationReport:
     phi(0) = I and the factor set is normalized, and (s, 0) passes exactly
     when phi(r s) = phi(s) phi(r) for every r and the cocycle identity
     holds at (q, r, s) for every q and r.  So the anti-homomorphism and
-    cocycle checks run over s in S only, O(|Q|^2 |S| n^2) work in place
-    of O(|Q|^3 n^2), and accept exactly the specs the checks over all
-    triples accept.  Failure lines name only checked triples and pairs,
+    cocycle checks run over s in S only, and accept exactly the specs the
+    checks over all triples accept.  Both read phi(s) by its w gather
+    layers (see the module docstring), so the cocycle check costs
+    O(|Q|^2 |S| w n) and the anti-homomorphism check O(|Q| |S| w n^2),
+    where the checks over all triples with dense products cost
+    O(|Q|^3 n^2) and O(|Q|^2 n^3).  Failure lines name only checked triples and pairs,
     those whose last index is in S.  The identity, inverse, shape and
     normalization checks run over all of Q.  The table checks are
     ``point_table_failures``; the rest run only once the table passes.
@@ -207,9 +220,11 @@ def validate_extension(spec: ExtensionSpec) -> ValidationReport:
         if not bad:
             if phi[0] != IntMatrix.identity(n):
                 bad.append("phi(0) must be the identity matrix")
+            entries = {s: _layer_entries(phi[s]) for s in gens}
             for q in range(qs):
+                rows = _rows(phi[q])
                 for s in gens:
-                    if phi[table[q][s]] != phi[s] @ phi[q]:
+                    if _rows(phi[table[q][s]]) != _product_rows(entries[s], rows):
                         bad.append(f"phi is not an anti-homomorphism at ({q},{s})")
     coc = spec.coc
     if len(coc) != qs or any(len(row) != qs for row in coc):
@@ -224,14 +239,16 @@ def validate_extension(spec: ExtensionSpec) -> ValidationReport:
             for q in range(qs):
                 if coc[0][q] != zero or coc[q][0] != zero:
                     bad.append(f"factor set is not normalized at q={q}")
-            acts = [(s, _rows(phi[s])) for s in gens]
+            acts = [(s, _layers(phi[s])) for s in gens]
             for q in range(qs):
                 row = table[q]
                 for r in range(qs):
                     left, right, v = coc[row[r]], table[r], coc[q][r]
-                    for s, rows in acts:
-                        lhs = [c + sum(map(mul, m, v)) for c, m in zip(left[s], rows)]
-                        if lhs != [x + y for x, y in zip(coc[q][right[s]], coc[r][s])]:
+                    for s, layers in acts:
+                        lhs = left[s]
+                        for get, co in layers:
+                            lhs = map(add, lhs, map(mul, co, get(v)))
+                        if tuple(lhs) != tuple(map(add, coc[q][right[s]], coc[r][s])):
                             bad.append(f"cocycle identity fails at ({q},{r},{s})")
     for name, g in spec.generator_names:
         if not (0 <= g.q < qs):
@@ -244,6 +261,50 @@ def validate_extension(spec: ExtensionSpec) -> ValidationReport:
 def _rows(m: IntMatrix) -> tuple:
     """The rows of m as int tuples, those m holds (no copy)."""
     return tuple(map(m.row, range(m.rows)))
+
+
+def _layer_entries(m: IntMatrix) -> tuple:
+    """The gather layers of a square m as (idx, co) pairs of n-tuples.
+
+    Layer t holds the t-th nonzero entry of every row i, at column
+    idx[i] with value co[i]; a row with fewer than t + 1 nonzero entries
+    holds (0, 0) there.  There are as many layers as the densest row has
+    nonzero entries, none when m is 0x0 or zero.
+    """
+    rows = [[(j, x) for j, x in enumerate(row) if x] for row in _rows(m)]
+    width = max(map(len, rows), default=0)
+    return tuple(tuple(zip(*(row[t] if t < len(row) else (0, 0) for row in rows)))
+                 for t in range(width))
+
+
+def _layers(m: IntMatrix) -> tuple:
+    """The gather layers of m as (get, co) pairs: (m a)_i is the sum over
+    the layers of co[i] get(a)[i]."""
+    return tuple((_gather(idx), co) for idx, co in _layer_entries(m))
+
+
+def _gather(idx: tuple) -> itemgetter:
+    """An ``itemgetter`` that reads the entries of a tuple at idx into a tuple.
+
+    With a single index it reads a one-entry slice, since ``itemgetter(i)``
+    returns the entry itself.
+    """
+    if len(idx) == 1:
+        return itemgetter(slice(idx[0], idx[0] + 1))
+    return itemgetter(*idx)
+
+
+def _product_rows(entries: tuple, rows: tuple) -> tuple:
+    """The rows of A B, A given by its layer entries and B by its rows.
+
+    Row i of A B is the sum over layers t of co_t[i] times row idx_t[i]
+    of B: O(w n^2) for n x n matrices and w layers.
+    """
+    out = ((0,) * len(rows),) * len(rows)
+    for idx, co in entries:
+        out = tuple(tuple(map(add, acc, map(c.__mul__, rows[j])))
+                    for acc, j, c in zip(out, idx, co))
+    return out
 
 
 def abelianization_relations(spec: ExtensionSpec) -> tuple:
@@ -303,7 +364,7 @@ class ExtensionGroup:
         self.generators = spec.generator_names
         self._table = spec.q_table
         self._coc = spec.coc
-        self._rows = tuple(map(_rows, spec.phi))
+        self._layers = tuple(map(_layers, spec.phi))
         self._q_inv = tuple(row.index(0) for row in spec.q_table)
         self._relations, images = abelianization_relations(spec)
         self._images = tuple((w[:spec.n], w[spec.n:]) for w in images)
@@ -318,15 +379,18 @@ class ExtensionGroup:
     def mul(self, g: ExtElement, h: ExtElement) -> ExtElement:
         gq, ga = g
         hq, ha = h
-        return ExtElement(self._table[gq][hq], tuple([
-            c + e + sum(map(mul, row, ga))
-            for c, e, row in zip(self._coc[gq][hq], ha, self._rows[hq])]))
+        out = map(add, self._coc[gq][hq], ha)
+        for get, co in self._layers[hq]:
+            out = map(add, out, map(mul, co, get(ga)))
+        return ExtElement(self._table[gq][hq], tuple(out))
 
     def inv(self, g: ExtElement) -> ExtElement:
         gq, ga = g
         qi = self._q_inv[gq]
-        return ExtElement(qi, tuple([
-            -c - sum(map(mul, row, ga)) for c, row in zip(self._coc[gq][qi], self._rows[qi])]))
+        out = self._coc[gq][qi]
+        for get, co in self._layers[qi]:
+            out = map(add, out, map(mul, co, get(ga)))
+        return ExtElement(qi, tuple(map(neg, out)))
 
     conj = conjugate
     pow = power

@@ -25,11 +25,13 @@ d - 1; a group failing the check is a theorem violation.  The build
 collects in the cover, the group where only the ring relations hold,
 with the shared square-and-multiply ``power`` and ``conjugate``.
 
-The build's collection in the cover and the group's ``mul`` and ``inv``
-share one body, ``_raw_mul``: one pass over the ring vector that shifts,
-adds, and subtracts the master identity's correction in closed form.
-``_make`` then folds the exponents into [0, N) and reduces modulo the
-norm.
+The build's collection in the cover and the group's ``mul`` share one
+body, ``_raw_mul``: one pass over the ring vector that shifts, adds, and
+subtracts the master identity's correction (``_correction``) in closed
+form.  ``_raw_inv``, the cover's and the group's inverse, is one pass
+too: it shifts and negates, taking the shifted vector from the same
+correction.  ``_make`` then folds the exponents into [0, N) and reduces
+modulo the norm.
 
 Ring elements are integer tuples, or lists fresh from ``_raw_mul``, of
 length d = p^{n+m}, indexed by
@@ -204,18 +206,29 @@ class MetabGroup:
         v = map(add, self._shifts[(a2 % qn) * qm + b2 % qm](v1), v2)
         if not (a2 and b1):
             return (a1 + a2, b1 + b2, list(v))
+        return (a1 + a2, b1 + b2, list(map(sub, v, self._correction(a2, b1, b2))))
+
+    def _correction(self, a2: int, b1: int, b2: int) -> list:
+        """Psi_a2(X) Psi_b1(Y) Y^b2 as a ring vector (zero when a2 b1 = 0,
+        where callers skip it)."""
+        qn, qm = self.qn, self.qm
         tx, rx = divmod(a2, qn)
         py = self._psi(b1, qm)
         s = qm - b2 % qm
         py = py[s:] + py[:s]  # Y^b2 Psi_b1(Y)
-        corr = list(map((tx + 1).__mul__, py)) * rx + list(map(tx.__mul__, py)) * (qn - rx)
-        return (a1 + a2, b1 + b2, list(map(sub, v, corr)))
+        return list(map((tx + 1).__mul__, py)) * rx + list(map(tx.__mul__, py)) * (qn - rx)
 
     def _raw_inv(self, g):
-        """The inverse in the cover: g * (x^-a y^-b) = c^w makes it x^-a y^-b c^-w."""
-        a, b, _ = g
-        _, _, w = self._raw_mul(g, (-a, -b, self._zero))
-        return (-a, -b, list(map(neg, w)))
+        """The inverse in the cover, in one pass.
+
+        g * (x^-a y^-b) = c^w makes it x^-a y^-b c^-w, and by ``_raw_mul``
+        -w is the correction at (a2, b1, b2) = (-a, b, -b) less X^-a Y^-b v.
+        """
+        a, b, v = g
+        shifted = self._shift(v, -a, -b)
+        if not (a and b):
+            return (-a, -b, list(map(neg, shifted)))
+        return (-a, -b, list(map(sub, self._correction(-a, b, -b), shifted)))
 
     def collect_unreduced(self, word):
         """Collect a word over {x, y, c} without applying power relations.

@@ -11,11 +11,15 @@ own presentation, so neither column layout is pinned.  The library's
 failure lines are the oracle's lines whose last index lies in S, in the
 oracle's order.
 
-``ExtensionGroup.mul``/``inv`` run on the phi rows and point inverses
-stored at build; they must give the elements the product and inverse
-formulas give through ``IntMatrix.mat_vec`` (``brute.formula_mul``/
-``formula_inv``) on every spec above, on promislow^3 and on a p6 group
-whose rows are not signed permutations.
+``ExtensionGroup.mul``/``inv`` run on the gather layers of phi and the
+point inverses stored at build; they must give the elements the product
+and inverse formulas give through ``IntMatrix.mat_vec``
+(``brute.formula_mul``/``formula_inv``) on every spec above, on
+promislow^3, on a finite C2 spec with n = 0 and on a p6 group whose rows
+are not signed permutations.  The phi of the named catalog groups are
+one layer each and p6's take two; the anti-homomorphism check's layered
+product is ``@`` on every pair of phi, and corrupting p6 runs that check
+with two layers.
 """
 
 import pytest
@@ -40,6 +44,9 @@ from gentorsion.extgroup import (
     spec_from_dict,
     spec_to_dict,
     validate_extension,
+    _layer_entries,
+    _product_rows,
+    _rows,
 )
 from gentorsion.gentor import SplitMix64, random_word_element
 from gentorsion.intlin import IntMatrix, cokernel_structure
@@ -74,6 +81,28 @@ SPECS = {
         direct_product(build_dihedral_infinite(), build_dihedral_infinite())),
 }
 BUILT = {name: build() for name, build in SPECS.items()}
+
+
+def p6_spec():
+    """The split group Z^2 x| C6 with phi(k) = M^k, M = [[1, -1], [1, 0]]
+    (the rotation of the hexagonal lattice): rows with two nonzero
+    entries, which no named catalog group has."""
+    table = [[(i + j) % 6 for j in range(6)] for i in range(6)]
+    rotation = IntMatrix([[1, -1], [1, 0]])
+    phi = [IntMatrix.identity(2)]
+    for _ in range(5):
+        phi.append(phi[-1] @ rotation)
+    coc = [[[0, 0]] * 6 for _ in range(6)]
+    gens = [("t1", (0, [1, 0])), ("t2", (0, [0, 1])), ("r", (1, [0, 0]))]
+    return ExtensionSpec.build(table, phi, coc, gens)
+
+
+def finite_c2_spec():
+    """C2 with n = 0: every lattice vector and layer tuple is empty."""
+    return ExtensionSpec.build(C2, [[], []], [[(), ()], [(), ()]], [("a", (1, ()))])
+
+
+P6 = p6_spec()
 
 
 def reaches_all(table, gens) -> bool:
@@ -200,7 +229,9 @@ def test_abelianization_row_count():
 
 # -- corrupted specs -------------------------------------------------------
 
-CORRUPTIBLE = ("dinf", "klein", "promislow", "wreath C3", "wreath S3", "promislow x klein")
+CORRUPTIBLE = {name: BUILT[name] for name in ("dinf", "klein", "promislow", "wreath C3",
+                                               "wreath S3", "promislow x klein")}
+CORRUPTIBLE["p6"] = P6
 corrupt_settings = settings(derandomize=True, deadline=None, max_examples=150)
 
 
@@ -219,10 +250,10 @@ def checked_lines(spec, lines):
 
 
 @corrupt_settings
-@given(st.sampled_from(CORRUPTIBLE), st.sampled_from(("table", "phi", "coc")),
+@given(st.sampled_from(sorted(CORRUPTIBLE)), st.sampled_from(("table", "phi", "coc")),
        st.integers(0, 10**6), st.integers(-2, 2))
 def test_single_entry_corruption_agrees_with_full_checks(name, kind, pick, delta):
-    data = spec_to_dict(BUILT[name])
+    data = spec_to_dict(CORRUPTIBLE[name])
     qs, n = data["q_size"], data["n"]
     q, r = pick % qs, pick // qs % qs
     i, j = pick // qs ** 2 % n, pick // (qs ** 2 * n) % n
@@ -282,27 +313,14 @@ def test_wreath_table_check_agrees_with_full_checks(table):
     assert rejected == n * n * (n - 1)
 
 
-# -- element arithmetic on stored rows -------------------------------------
-
-
-def p6_spec():
-    """The split group Z^2 x| C6 with phi(k) = M^k, M = [[1, -1], [1, 0]]
-    (the rotation of the hexagonal lattice): rows with two nonzero
-    entries, which no catalog spec has."""
-    table = [[(i + j) % 6 for j in range(6)] for i in range(6)]
-    rotation = IntMatrix([[1, -1], [1, 0]])
-    phi = [IntMatrix.identity(2)]
-    for _ in range(5):
-        phi.append(phi[-1] @ rotation)
-    coc = [[[0, 0]] * 6 for _ in range(6)]
-    gens = [("t1", (0, [1, 0])), ("t2", (0, [0, 1])), ("r", (1, [0, 0]))]
-    return ExtensionSpec.build(table, phi, coc, gens)
+# -- element arithmetic on gather layers -----------------------------------
 
 
 ARITHMETIC = {
     **BUILT,
     "promislow^3": direct_product(BUILT["promislow x promislow"], build_promislow()),
-    "p6": p6_spec(),
+    "p6": P6,
+    "finite C2": finite_c2_spec(),
 }
 GROUPS = {name: ExtensionGroup(spec, name=name) for name, spec in ARITHMETIC.items()}
 word_settings = settings(derandomize=True, deadline=None, max_examples=200)
@@ -311,6 +329,28 @@ word_settings = settings(derandomize=True, deadline=None, max_examples=200)
 def test_p6_rows_are_not_permutations():
     rows = [row for m in ARITHMETIC["p6"].phi for row in m.to_lists()]
     assert max(sum(x != 0 for x in row) for row in rows) == 2
+
+
+@pytest.mark.parametrize("name", sorted(ARITHMETIC))
+def test_layer_count(name):
+    """The phi of dinf, klein, promislow, the wreath products and their
+    direct products are signed permutations, one layer each.  p6's
+    rotations take two, the free abelianized extensions' phi up to three,
+    and the n = 0 spec's none."""
+    widths = {len(layers) for layers in GROUPS[name]._layers}
+    dense = {"p6": {1, 2}, "freeabext C3": {1, 3}, "freeabext S3": {1, 3}, "finite C2": {0}}
+    assert widths == dense.get(name, {1})
+
+
+@pytest.mark.parametrize("name", sorted(ARITHMETIC))
+def test_layered_product_is_matrix_product(name):
+    """The anti-homomorphism check's rows of phi(s) phi(q), read from the
+    layers of phi(s), are those of ``@`` for every pair."""
+    phi = ARITHMETIC[name].phi
+    for a in phi:
+        entries = _layer_entries(a)
+        for b in phi:
+            assert _product_rows(entries, _rows(b)) == (a @ b)._data
 
 
 @pytest.mark.parametrize("name", sorted(ARITHMETIC))
@@ -341,5 +381,5 @@ def test_word_products_match_formula(name, word):
         got = G.mul(got, G.inv(letter) if inverted else letter)
         want = brute.formula_mul(spec, want, brute.formula_inv(spec, letter) if inverted else letter)
         assert got == want
-        assert type(got.a) is tuple
+        assert type(got) is ExtElement and type(got.a) is tuple
     assert G.inv(got) == brute.formula_inv(spec, want)

@@ -8,7 +8,9 @@ oracles in ``metab_bruteforce`` multiply unreduced vectors and read
 coordinates from the full shift closure of S, and try every residue with
 stacked d x 5d solves; both must give the same answers on every group
 with N <= 16.  Past that, products and inverses on five groups up to the
-cap are compared with the oracle's multiplier, reduced to v_k - v_0.
+cap are compared with the oracle's multiplier, reduced to v_k - v_0,
+and the one-pass inverse in the cover with the former body, a product
+by x^-a y^-b negated.
 The build's g3, g4 and consistency vectors are recollected
 letter by letter with the oracle's multiplier on every group with
 N <= 64.  No K has torsion or a nontrivial centre, so the other
@@ -29,6 +31,7 @@ import metab_bruteforce as brute
 
 SMALL = ((2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1), (2, 2, 2), (2, 1, 3))
 UP_TO_16 = SMALL + ((2, 3, 1),)
+BEYOND_16 = ((2, 2, 4), (2, 4, 4), (13, 1, 1), (2, 1, 7), (2, 7, 1))
 INJECTED = ((2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1))
 SHIFTED = ((2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1))
 
@@ -136,8 +139,7 @@ def test_arithmetic_agrees_with_unreduced_oracle(pnm):
             assert (got.alpha, got.beta, got.coords) == (want[0], want[1], raw.coords(want))
 
 
-@pytest.mark.parametrize("pnm", ((2, 2, 4), (2, 4, 4), (13, 1, 1), (2, 1, 7), (2, 7, 1)),
-                         ids=group_id)
+@pytest.mark.parametrize("pnm", BEYOND_16, ids=group_id)
 def test_arithmetic_beyond_16_agrees_with_affine_oracle(pnm):
     """Products and inverses against the oracle's ``affine_mul``, past the
     Smith form of the closure: its constant part is reduced to v_k - v_0,
@@ -168,6 +170,31 @@ def test_arithmetic_beyond_16_agrees_with_affine_oracle(pnm):
                           (brute.raw_inv(G, g), G.inv(G._make(*g)))):
             assert (got.alpha, got.beta, got.coords) == (want[0], want[1],
                                                          brute.norm_coords(want[2]))
+
+
+@pytest.mark.parametrize("pnm", BEYOND_16, ids=group_id)
+def test_inverse_in_one_pass_agrees_with_oracle(pnm):
+    """``_raw_inv`` shifts and negates v in one pass and subtracts it from
+    the master identity's correction only when a b != 0.  In the cover it
+    equals the former body, g (x^-a y^-b) negated, for exponents of every
+    sign and size, a or b zero included; ``inv`` of a normal form agrees
+    with the oracle's letter-by-letter inverse on each of the four cases
+    a = 0 or not, b = 0 or not.
+    """
+    G = build_K(*pnm)
+    N = G.N
+    rng = SplitMix64(11 + seed_of(pnm))
+    for i in range(32):
+        keep_a, keep_b = bool(i % 2), bool(i // 2 % 2)
+        a = (rng.randrange(4 * N) - 2 * N) * keep_a
+        b = (rng.randrange(4 * N) - 2 * N) * keep_b
+        v = rand_vec(rng, G.d)
+        _, _, w = G._raw_mul((a, b, v), (-a, -b, G._zero))
+        assert G._raw_inv((a, b, v)) == (-a, -b, [-x for x in w])
+        alpha, beta = (1 + rng.randrange(N - 1)) * keep_a, (1 + rng.randrange(N - 1)) * keep_b
+        want = brute.raw_inv(G, (alpha, beta, v))
+        got = G.inv(G._make(alpha, beta, v))
+        assert (got.alpha, got.beta, got.coords) == (want[0], want[1], brute.norm_coords(want[2]))
 
 
 oracle_settings = settings(derandomize=True, deadline=None, max_examples=25)
