@@ -104,10 +104,16 @@ def build_free_abelianized_extension(inp: FreeAbelExtInput) -> ExtensionSpec:
     breadth-first Schreier tree; the point action and cocycle are obtained
     by pushing W_q^-1 b W_q and W_{qq'}^-1 W_q W_{q'} through the Schreier
     rewriting map and abelianizing.
+
+    The table is checked first, as ``build_wreath`` checks it; the spec is
+    validated once built, and a failure there is a construction bug.
     """
     r = inp.rank
     table = inp.q_table
     size = len(table)
+    failures = point_table_failures(table, inp.images)
+    if failures:
+        raise GroupInputError("invalid multiplication table: " + "; ".join(failures[:3]))
     if r < 1:
         raise GroupInputError("free rank must be at least 1")
     if len(inp.images) != r:

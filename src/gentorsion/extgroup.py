@@ -27,11 +27,13 @@ idx_t[i] and its coefficient co_t[i], rows with fewer entries padded by
 
 where a layer reads a[idx_t] with one ``itemgetter``.  A signed
 permutation, as every phi of dinf, klein, promislow and Z wr Q is, is
-one layer; a dense phi is n layers.  A product is coc(q, q') + a' plus one vector pass per layer of
-phi(q'), and an inverse the same on q^-1, negated once.
-``validate_extension`` checks the cocycle identity on the same layers,
-and the anti-homomorphism as row i of phi(s) phi(q) = sum_t co_t[i]
-(row idx_t[i] of phi(q)): O(w n^2) per pair, not O(n^3).
+one layer; a dense phi is n layers.  A product is coc(q, q') + a' plus
+one vector pass per layer of phi(q'), and an inverse the same on q^-1,
+negated once.  ``validate_extension`` applies phi(s) through the same
+layers (``_act``, start + phi(s) v): to a factor-set vector for the
+cocycle identity, and to each column of phi(q) for the anti-homomorphism,
+since column j of phi(q s) = phi(s) phi(q) is phi(s) times column j of
+phi(q).  That is O(w n^2) per pair, not O(n^3).
 """
 
 from __future__ import annotations
@@ -189,14 +191,18 @@ def validate_extension(spec: ExtensionSpec) -> ValidationReport:
     when phi(r s) = phi(s) phi(r) for every r and the cocycle identity
     holds at (q, r, s) for every q and r.  So the anti-homomorphism and
     cocycle checks run over s in S only, and accept exactly the specs the
-    checks over all triples accept.  Both read phi(s) by its w gather
-    layers (see the module docstring), so the cocycle check costs
+    checks over all triples accept.  Each phi(s) is split into its w gather
+    layers once (see the module docstring), and both checks apply it
+    through them with ``_act``: the cocycle check to coc(q, r), the
+    anti-homomorphism check to each column of phi(q), which it compares
+    with the same column of phi(q s).  So the cocycle check costs
     O(|Q|^2 |S| w n) and the anti-homomorphism check O(|Q| |S| w n^2),
     where the checks over all triples with dense products cost
-    O(|Q|^3 n^2) and O(|Q|^2 n^3).  Failure lines name only checked triples and pairs,
-    those whose last index is in S.  The identity, inverse, shape and
-    normalization checks run over all of Q.  The table checks are
-    ``point_table_failures``; the rest run only once the table passes.
+    O(|Q|^3 n^2) and O(|Q|^2 n^3).  Failure lines name only checked
+    triples and pairs, those whose last index is in S.  The identity,
+    inverse, shape and normalization checks run over all of Q.  The table
+    checks are ``point_table_failures``; the rest run only once the table
+    passes.
     """
     qs, table = spec.q_size, spec.q_table
     if len(table) != qs:
@@ -208,6 +214,7 @@ def validate_extension(spec: ExtensionSpec) -> ValidationReport:
     gens = _generating_points(table, firsts)
     bad = []
     n = spec.n
+    zero = (0,) * n
     phi = spec.phi
     if len(phi) != qs:
         bad.append("phi must assign one matrix per point-group index")
@@ -220,11 +227,11 @@ def validate_extension(spec: ExtensionSpec) -> ValidationReport:
         if not bad:
             if phi[0] != IntMatrix.identity(n):
                 bad.append("phi(0) must be the identity matrix")
-            entries = {s: _layer_entries(phi[s]) for s in gens}
+            acts = [(s, _layers(phi[s])) for s in gens]
+            cols = [tuple(zip(*_rows(m))) for m in phi]
             for q in range(qs):
-                rows = _rows(phi[q])
-                for s in gens:
-                    if _rows(phi[table[q][s]]) != _product_rows(entries[s], rows):
+                for s, layers in acts:
+                    if cols[table[q][s]] != tuple(_act(layers, c, zero) for c in cols[q]):
                         bad.append(f"phi is not an anti-homomorphism at ({q},{s})")
     coc = spec.coc
     if len(coc) != qs or any(len(row) != qs for row in coc):
@@ -234,21 +241,17 @@ def validate_extension(spec: ExtensionSpec) -> ValidationReport:
             for r in range(qs):
                 if len(coc[q][r]) != n:
                     bad.append(f"coc({q},{r}) has wrong length")
-        if not bad:
-            zero = (0,) * n
+        if not bad:  # so the phi checks ran, and acts holds the layers of S
             for q in range(qs):
                 if coc[0][q] != zero or coc[q][0] != zero:
                     bad.append(f"factor set is not normalized at q={q}")
-            acts = [(s, _layers(phi[s])) for s in gens]
             for q in range(qs):
                 row = table[q]
                 for r in range(qs):
                     left, right, v = coc[row[r]], table[r], coc[q][r]
                     for s, layers in acts:
-                        lhs = left[s]
-                        for get, co in layers:
-                            lhs = map(add, lhs, map(mul, co, get(v)))
-                        if tuple(lhs) != tuple(map(add, coc[q][right[s]], coc[r][s])):
+                        want = tuple(map(add, coc[q][right[s]], coc[r][s]))
+                        if _act(layers, v, left[s]) != want:
                             bad.append(f"cocycle identity fails at ({q},{r},{s})")
     for name, g in spec.generator_names:
         if not (0 <= g.q < qs):
@@ -263,24 +266,29 @@ def _rows(m: IntMatrix) -> tuple:
     return tuple(map(m.row, range(m.rows)))
 
 
-def _layer_entries(m: IntMatrix) -> tuple:
-    """The gather layers of a square m as (idx, co) pairs of n-tuples.
+def _layers(m: IntMatrix) -> tuple:
+    """The gather layers of a square m as (get, co) pairs.
 
     Layer t holds the t-th nonzero entry of every row i, at column
-    idx[i] with value co[i]; a row with fewer than t + 1 nonzero entries
-    holds (0, 0) there.  There are as many layers as the densest row has
-    nonzero entries, none when m is 0x0 or zero.
+    idx[i] with value co[i], and get reads a[idx] (``_gather``); a row
+    with fewer than t + 1 nonzero entries holds (0, 0) there.  There are
+    as many layers as the densest row has nonzero entries, none when m is
+    0x0 or zero.
     """
     rows = [[(j, x) for j, x in enumerate(row) if x] for row in _rows(m)]
     width = max(map(len, rows), default=0)
-    return tuple(tuple(zip(*(row[t] if t < len(row) else (0, 0) for row in rows)))
-                 for t in range(width))
+    layers = []
+    for t in range(width):
+        idx, co = zip(*(row[t] if t < len(row) else (0, 0) for row in rows))
+        layers.append((_gather(idx), co))
+    return tuple(layers)
 
 
-def _layers(m: IntMatrix) -> tuple:
-    """The gather layers of m as (get, co) pairs: (m a)_i is the sum over
-    the layers of co[i] get(a)[i]."""
-    return tuple((_gather(idx), co) for idx, co in _layer_entries(m))
+def _act(layers, v, start) -> tuple:
+    """start + m v, for the matrix m whose gather layers are ``layers``."""
+    for get, co in layers:
+        start = map(add, start, map(mul, co, get(v)))
+    return tuple(start)
 
 
 def _gather(idx: tuple) -> itemgetter:
@@ -292,19 +300,6 @@ def _gather(idx: tuple) -> itemgetter:
     if len(idx) == 1:
         return itemgetter(slice(idx[0], idx[0] + 1))
     return itemgetter(*idx)
-
-
-def _product_rows(entries: tuple, rows: tuple) -> tuple:
-    """The rows of A B, A given by its layer entries and B by its rows.
-
-    Row i of A B is the sum over layers t of co_t[i] times row idx_t[i]
-    of B: O(w n^2) for n x n matrices and w layers.
-    """
-    out = ((0,) * len(rows),) * len(rows)
-    for idx, co in entries:
-        out = tuple(tuple(map(add, acc, map(c.__mul__, rows[j])))
-                    for acc, j, c in zip(out, idx, co))
-    return out
 
 
 def abelianization_relations(spec: ExtensionSpec) -> tuple:
@@ -380,6 +375,7 @@ class ExtensionGroup:
         gq, ga = g
         hq, ha = h
         out = map(add, self._coc[gq][hq], ha)
+        # _act's loop, written out: mul and inv are the hot path
         for get, co in self._layers[hq]:
             out = map(add, out, map(mul, co, get(ga)))
         return ExtElement(self._table[gq][hq], tuple(out))

@@ -97,7 +97,7 @@ class IntMatrix:
 
     @classmethod
     def diagonal(cls, entries) -> "IntMatrix":
-        entries = [int(x) for x in entries]
+        entries = list(map(_as_int, entries))
         n = len(entries)
         return cls._of([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)], n)
 
@@ -369,7 +369,7 @@ def _smith_eliminate(m: IntMatrix, track_v: bool):
 
 def solve_integer_linear(m: IntMatrix, b) -> tuple[int, ...] | None:
     """One integer solution x of m @ x = b, or None if there is none."""
-    b = tuple(int(x) for x in b)
+    b = tuple(map(_as_int, b))
     if len(b) != m.rows:
         raise DimensionError(f"right-hand side of length {len(b)} against {m.rows} rows")
     snf = smith_normal_form(m)
@@ -447,7 +447,7 @@ class AbelianStructure(namedtuple("AbelianStructure", "invariant_factors free_ra
 
     def lift(self, coords) -> tuple[int, ...]:
         """A generator-exponent vector whose canonical form is ``coords``."""
-        coords = tuple(int(x) for x in coords)
+        coords = tuple(map(_as_int, coords))
         if len(coords) != len(self.selected):
             raise DimensionError("wrong number of canonical coordinates")
         full = [0] * self.n_generators

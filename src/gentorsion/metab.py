@@ -111,12 +111,12 @@ class MetabGroup:
 
         # S = Z norm exactly when every consistency vector is a multiple of
         # the norm, with multiples of gcd 1; then M is torsion-free and the
-        # norm, the exponent of [x^{p^n}, y^{p^m}], lies in S
+        # norm, the exponent of [x^{p^n}, y^{p^m}], lies in S.  The norm
+        # Psi_{p^n}(X) Psi_{p^m}(Y) is the all-ones vector, so k norm is (k,) * d
         self._relations = self._consistency_vectors(cover)
-        norm = self._psi_product(self.qn, self.qm)
         multiples = [vec[0] for vec in self._relations]
         if gcd(*multiples) != 1 or any(
-                vec != self._scale(norm, k) for vec, k in zip(self._relations, multiples)):
+                vec != (k,) * self.d for vec, k in zip(self._relations, multiples)):
             raise TheoremViolationError(
                 f"the relation submodule of K({self.qn},{self.qm}) is not Z norm: its "
                 "generators are not multiples of the norm with gcd 1"
@@ -170,17 +170,6 @@ class MetabGroup:
             return [base + 1] * extra + [base] * (modulus - extra)
         pos = MetabGroup._psi(-k, modulus)
         return [-pos[(i - k) % modulus] for i in range(modulus)]
-
-    def _psi_product(self, a: int, b: int):
-        """Psi_a(X) * Psi_b(Y) as a ring vector."""
-        px, py = self._psi(a, self.qn), self._psi(b, self.qm)
-        out = [0] * self.d
-        for i in range(self.qn):
-            if px[i]:
-                row = i * self.qm
-                for j in range(self.qm):
-                    out[row + j] = px[i] * py[j]
-        return tuple(out)
 
     def monomial(self, i: int, j: int):
         out = [0] * self.d

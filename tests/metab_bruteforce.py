@@ -28,7 +28,9 @@ The oracles multiply with their own ``affine_mul``, written apart from
 the library's collection code, so they do not share a multiplier with the
 code they check; ``cover_mul`` is its product before the power relations
 fold, and ``build_vectors`` recomputes the build's g3, g4 and consistency
-vectors with it, one factor at a time.  ``shift`` is the double loop the
+vectors with it, one factor at a time.  ``psi_product``, which
+``cover_mul`` and ``norm_module`` use, expands Psi_a(X) Psi_b(Y) from its
+definition one monomial at a time.  ``shift`` is the double loop the
 library's ``_shift`` ran before it read a precomputed permutation table;
 the oracles shift with it, and the tests compare the two.
 """
@@ -51,6 +53,22 @@ def shift(G, v, a, b):
     return tuple(out)
 
 
+def psi_product(G, a, b):
+    """Psi_a(X) Psi_b(Y) as a ring vector, one monomial at a time.
+
+    Psi_k(T) is T^0 + ... + T^(k-1) for k >= 0 and minus
+    T^k + ... + T^-1 for k < 0, read modulo T^q - 1.
+    """
+    def psi(k, q):
+        out = [0] * q
+        for e in (range(k) if k >= 0 else range(k, 0)):
+            out[e % q] += 1 if k >= 0 else -1
+        return out
+
+    px, py = psi(a, G.qn), psi(b, G.qm)
+    return tuple(x * y for x in px for y in py)
+
+
 def cover_mul(G, f1, f2):
     """Product of x^a y^b c^{m v + c} forms sharing one formal slot v, in
     the cover: x- and y-exponents stay plain integers.
@@ -62,7 +80,7 @@ def cover_mul(G, f1, f2):
     m = G._add(shift(G, m1, a2, b2), m2)
     c = G._add(shift(G, c1, a2, b2), c2)
     if a2 and b1:
-        c = G._add(c, G._neg(shift(G, G._psi_product(a2, b1), 0, b2)))
+        c = G._add(c, G._neg(shift(G, psi_product(G, a2, b1), 0, b2)))
     return (a1 + a2, b1 + b2, m, c)
 
 
@@ -163,7 +181,7 @@ def closure_module(G, vectors=None):
 
 def norm_module(G):
     """M = Z^d / Z norm, the cokernel of the one norm row."""
-    return cokernel_structure(IntMatrix([G._psi_product(G.qn, G.qm)], cols=G.d))
+    return cokernel_structure(IntMatrix([psi_product(G, G.qn, G.qm)], cols=G.d))
 
 
 def relation_columns(G) -> IntMatrix:

@@ -412,6 +412,19 @@ def test_freeabext_file_address(tmp_path, capsys):
     assert "generalized_torsion=true" in out
 
 
+@pytest.mark.parametrize("table", [
+    [[0, 1, 2], [1, 2, 0], [2, 1, 0]],
+    [[0, 1, 2], [1, 0, 0], [2, 0, 1]],
+    [[0, 1, 2], [1, 2, 0], [2, 0, 3]],
+], ids=["not-associative", "no-inverse", "out-of-range"])
+def test_freeabext_rejects_a_table_that_is_not_a_group(tmp_path, capsys, table):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"rank": 2, "q_table": table, "images": [1, 1]}))
+    code, out, err = invoke(capsys, "info", f"freeabext:{path}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid multiplication table")
+
+
 def test_input_errors(tmp_path, capsys):
     code, _, err = invoke(capsys, "info", "nosuchgroup")
     assert code == 2 and "error:" in err

@@ -9,7 +9,10 @@ up to |Q| = 16, and agree on ``ok`` when one entry of a catalog spec is
 corrupted.  G^ab is compared through orders only, each side reading its
 own presentation, so neither column layout is pinned.  The library's
 failure lines are the oracle's lines whose last index lies in S, in the
-oracle's order.
+oracle's order.  ``build_wreath`` and ``build_free_abelianized_extension``
+check their table alone before building; each rejects exactly the
+single-entry corruptions of a small group table whose regular
+representation spec the full checks reject.
 
 ``ExtensionGroup.mul``/``inv`` run on the gather layers of phi and the
 point inverses stored at build; they must give the elements the product
@@ -17,9 +20,10 @@ and inverse formulas give through ``IntMatrix.mat_vec``
 (``brute.formula_mul``/``formula_inv``) on every spec above, on
 promislow^3, on a finite C2 spec with n = 0 and on a p6 group whose rows
 are not signed permutations.  The phi of the named catalog groups are
-one layer each and p6's take two; the anti-homomorphism check's layered
-product is ``@`` on every pair of phi, and corrupting p6 runs that check
-with two layers.
+one layer each and p6's take two.  Both structural checks apply phi(s)
+through its layers with ``_act``; the anti-homomorphism check applies it
+to the columns of phi(q), which must give the columns of ``@`` on every
+pair of phi, and corrupting p6 runs that check with two layers.
 """
 
 import pytest
@@ -44,9 +48,8 @@ from gentorsion.extgroup import (
     spec_from_dict,
     spec_to_dict,
     validate_extension,
-    _layer_entries,
-    _product_rows,
-    _rows,
+    _act,
+    _layers,
 )
 from gentorsion.gentor import SplitMix64, random_word_element
 from gentorsion.intlin import IntMatrix, cokernel_structure
@@ -313,6 +316,36 @@ def test_wreath_table_check_agrees_with_full_checks(table):
     assert rejected == n * n * (n - 1)
 
 
+@pytest.mark.parametrize("table, images", [(C2, [1, 1]), (C3, [1, 1]), (S3, [1, 3])],
+                         ids=["C2", "C3", "S3"])
+def test_freeabext_table_check_agrees_with_full_checks(table, images):
+    """``build_free_abelianized_extension`` checks its table first, as
+    ``build_wreath`` does: it rejects exactly the single-entry corruptions
+    whose regular-representation spec the full checks reject, with the
+    table lines of that spec's report, and builds the same spec otherwise."""
+    n = len(table)
+    built = freeabext(table, images)
+    gens = tuple((f"f{i + 1}", ExtElement(q, (0,) * n)) for i, q in enumerate(images))
+    rejected = 0
+    for q in range(n):
+        for r in range(n):
+            for value in range(n):
+                corrupted = [list(row) for row in table]
+                corrupted[q][r] = value
+                spec = regular_spec(corrupted)._replace(generator_names=gens)
+                want = brute.validate_extension(spec)
+                try:
+                    got = freeabext(corrupted, images)
+                except GroupInputError as exc:
+                    assert not want.ok
+                    shown = "; ".join(validate_extension(spec).failures[:3])
+                    assert str(exc) == "invalid multiplication table: " + shown
+                    rejected += 1
+                else:
+                    assert want.ok and got == built
+    assert rejected == n * n * (n - 1)
+
+
 # -- element arithmetic on gather layers -----------------------------------
 
 
@@ -344,13 +377,19 @@ def test_layer_count(name):
 
 @pytest.mark.parametrize("name", sorted(ARITHMETIC))
 def test_layered_product_is_matrix_product(name):
-    """The anti-homomorphism check's rows of phi(s) phi(q), read from the
-    layers of phi(s), are those of ``@`` for every pair."""
-    phi = ARITHMETIC[name].phi
-    for a in phi:
-        entries = _layer_entries(a)
-        for b in phi:
-            assert _product_rows(entries, _rows(b)) == (a @ b)._data
+    """The anti-homomorphism check's columns of phi(s) phi(q), each
+    phi(s) applied to a column of phi(q) through its layers by ``_act``,
+    are those of ``@`` for every pair; from a nonzero start, ``_act``
+    adds the start."""
+    spec = ARITHMETIC[name]
+    zero = (0,) * spec.n
+    for a in spec.phi:
+        layers = _layers(a)
+        for b in spec.phi:
+            cols = tuple(zip(*b.to_lists()))
+            assert tuple(_act(layers, c, zero) for c in cols) == tuple(zip(*(a @ b).to_lists()))
+            for c in cols:
+                assert _act(layers, c, c) == tuple(x + y for x, y in zip(c, a.mat_vec(c)))
 
 
 @pytest.mark.parametrize("name", sorted(ARITHMETIC))

@@ -44,6 +44,23 @@ def test_matrix_construction_errors():
     assert empty.rows == 0 and empty.cols == 3
 
 
+@pytest.mark.parametrize("value", [1.9, 1.0, "1", True], ids=repr)
+def test_entry_points_refuse_non_integers(value):
+    """Every public entry point that takes integers raises TypeError on a
+    float, a str or a bool, as ``IntMatrix(data)`` does, instead of
+    truncating it with ``int``."""
+    structure = cokernel_structure(IntMatrix([[4]]))
+    for call in (lambda: IntMatrix([[value]]),
+                 lambda: solve_integer_linear(IntMatrix([[1]]), [value]),
+                 lambda: IntMatrix.diagonal([value, 3]),
+                 lambda: structure.lift([value])):
+        with pytest.raises(TypeError):
+            call()
+    assert solve_integer_linear(IntMatrix([[1]]), [2]) == (2,)
+    assert IntMatrix.diagonal([2, 3]).to_lists() == [[2, 0], [0, 3]]
+    assert structure.canonical(structure.lift([3])) == (3,)
+
+
 def test_matrix_ops():
     m = IntMatrix([[1, 2], [3, 4]])
     assert (m @ IntMatrix.identity(2)) == m

@@ -110,6 +110,14 @@ def test_build_rejects_relations_other_than_z_norm(monkeypatch, pnm, tamper):
         build_K(*pnm)
 
 
+@pytest.mark.parametrize("pnm", UP_TO_16, ids=group_id)
+def test_norm_is_the_all_ones_vector(pnm):
+    """The build compares the consistency vectors with multiples of
+    (1,) * d, which is the norm Psi_{p^n}(X) Psi_{p^m}(Y)."""
+    G = build_K(*pnm)
+    assert brute.psi_product(G, G.qn, G.qm) == (1,) * G.d
+
+
 def test_cli_exits_3_when_the_relations_are_not_z_norm(monkeypatch, capsys):
     collect = MetabGroup._consistency_vectors
     monkeypatch.setattr(MetabGroup, "_consistency_vectors",
