@@ -71,16 +71,26 @@ def conjugate(G, g, x):
 
 
 def power(G, g, k: int):
-    """g^k by square-and-multiply: bit_length(k) - 1 + popcount(k) muls."""
+    """g^k by square-and-multiply: bit_length(k) - 2 + popcount(k) muls
+    for k >= 1, none for k = 1.
+
+    The squares up to k's lowest set bit start the product, so no
+    multiply has the identity as a factor.
+    """
     if k < 0:
         return G.inv(power(G, g, -k))
-    out = G.identity()
+    if k == 0:
+        return G.identity()
+    while not k & 1:
+        g = G.mul(g, g)
+        k >>= 1
+    out = g
+    k >>= 1
     while k:
+        g = G.mul(g, g)
         if k & 1:
             out = G.mul(out, g)
         k >>= 1
-        if k:
-            g = G.mul(g, g)
     return out
 
 
@@ -104,7 +114,7 @@ def labeled_transversal(G):
     walk = [((), one)]
     for word, e in walk:  # entries appended here are walked too
         for name, gen in G.generators:
-            x = G.mul(e, gen)
+            x = G.mul(e, gen) if word else gen  # the empty word is 1
             label = G.coset(x)
             if label not in seen:
                 seen.add(label)
@@ -169,13 +179,13 @@ def random_word_element(G, rng: SplitMix64, max_length: int = 12):
     gens = [g for _, g in G.generators]
     if not gens:
         raise GroupInputError("sampling elements needs at least one generator")
-    out = G.identity()
+    out = None
     for _ in range(1 + rng.randrange(max_length)):
         pick = rng.randrange(2 * len(gens))
         letter = gens[pick >> 1]
         if pick & 1:
             letter = G.inv(letter)
-        out = G.mul(out, letter)
+        out = letter if out is None else G.mul(out, letter)
     return out
 
 
@@ -239,17 +249,34 @@ def _verify_product(G, bases, conjugators):
 
     With z_j = x_j x_{j+1}^-1 (indices mod m), h z_1 h z_2 ... h z_m is
     x_1 (h^{x_1} ... h^{x_m}) x_1^-1, which is 1 exactly when the product
-    of conjugates is.  The z_j are formed once, so each base costs 2m
-    muls.
+    of conjugates is.  Equal neighbours give z_j = 1, so the check walks
+    runs of equal conjugators instead: a run of r copies of x followed
+    by a run of y contributes h^r x y^-1.  Rotating the product
+    conjugates it, so when x_m = x_1 the last run joins the first.  With
+    n >= 2 runs the n z's are formed once, and each base costs 2n - 1
+    muls plus one ``power`` per distinct run length.  A single run of m
+    leaves (h^m)^x, so only h^m is tested.  An empty list is the empty
+    product, 1.
     """
-    xs = list(conjugators)
-    zs = [G.mul(x, G.inv(y)) for x, y in zip(xs, xs[1:] + xs[:1])]
+    runs = [(x, len(list(run))) for x, run in groupby(conjugators)]
+    if not runs:
+        return True
+    if len(runs) > 1 and runs[0][0] == runs[-1][0]:
+        x, r = runs.pop()
+        runs[0] = (x, runs[0][1] + r)
     one = G.identity()
+    if len(runs) == 1:  # h^x ... h^x = (h^m)^x
+        return all(power(G, h, runs[0][1]) == one for h in bases)
+    xs = [x for x, _ in runs]
+    zs = [G.mul(x, G.inv(y)) for x, y in zip(xs, xs[1:] + xs[:1])]
+    lengths = [r for _, r in runs]
+    distinct = set(lengths)
     for h in bases:
-        out = one
-        for z in zs:
-            out = G.mul(G.mul(out, h), z)
-        if out != one:
+        powers = {r: power(G, h, r) for r in distinct}
+        out = powers[lengths[0]]
+        for z, r in zip(zs, lengths[1:]):
+            out = G.mul(G.mul(out, z), powers[r])
+        if G.mul(out, zs[-1]) != one:
             return False
     return True
 
@@ -282,8 +309,8 @@ def witness_construct(G, g, base_word: str = "g") -> WitnessCertificate:
     _require(G, "coset", "labeled_transversal")
     gen_order_lower_bound(G, g)  # raises when g is not generalized torsion
     n = G.order_mod_translation(g)
-    powers = [G.identity()]
-    for _ in range(1, n):
+    powers = [G.identity(), g]  # powers[i] = g^i, read for 1 <= i < n
+    for _ in range(2, n):
         powers.append(G.mul(powers[-1], g))
     covered = set()
     words = []
@@ -298,7 +325,7 @@ def witness_construct(G, g, base_word: str = "g") -> WitnessCertificate:
             else:
                 pw = _power_word(base_word, i)
                 words.append(pw if w == "1" else f"{pw}*{w}")
-                x = G.mul(powers[i], s)
+                x = powers[i] if w == "1" else G.mul(powers[i], s)
             conjugators.append(x)
             covered.add(G.coset(x))
 
@@ -373,7 +400,9 @@ def gen_order_search(G, g, max_k: int, radius: int):
     same as with the level built in full.
 
     The ball and its inverses are kept on the group (``_generator_ball``);
-    the conjugates of g are formed anew on every call.
+    the conjugates of g are formed anew on every call, g^1 = g without a
+    product.  They are distinct, so level 1 is the conjugates themselves,
+    each reached from 1 by its own index, and building starts at level 2.
 
     None when max_k < lb holds for every conjugator, not just the ball:
     it is returned before the ball is built.  None when g is not
@@ -390,8 +419,10 @@ def gen_order_search(G, g, max_k: int, radius: int):
         return None
 
     conjugates = _conjugate_set(G, g, radius)
-    # levels[j][state] = (state at level j-1, conjugate index), first reached
-    levels = [{G.identity(): None}]
+    # levels[j][state] = (state at level j-1, conjugate index), first reached;
+    # the conjugates are distinct, so level 1 is all of them
+    one = G.identity()
+    levels = [{one: None}, {c: (one, i) for i, (_, _, c) in enumerate(conjugates)}]
 
     def grow(meet=None):
         """Append the next level; with ``meet``, stop at and return its
@@ -473,12 +504,14 @@ def _generator_ball(G, radius: int):
     entries, seen, bounds = ball.entries, ball.seen, ball.bounds
     while len(bounds) <= radius + 1 and bounds[-2] < bounds[-1]:
         for w, e, e_inv in entries[bounds[-2] : bounds[-1]]:
+            first = w == "1"  # e is the identity, so e * l = l
             for lw, le, le_inv in ball.letters:
-                p = G.mul(e, le)
+                p = le if first else G.mul(e, le)
                 if p in seen:
                     continue
                 seen.add(p)
-                entries.append((lw if w == "1" else f"{w}*{lw}", p, G.mul(le_inv, e_inv)))
+                entries.append((lw, le, le_inv) if first
+                               else (f"{w}*{lw}", p, G.mul(le_inv, e_inv)))
         bounds.append(len(entries))
     return entries[: bounds[min(radius + 1, len(bounds) - 1)]]
 
@@ -488,7 +521,7 @@ def _conjugate_set(G, g, radius: int):
     out = []
     seen = set()
     for w, x, x_inv in _generator_ball(G, radius):
-        c = G.mul(G.mul(x_inv, g), x)
+        c = g if w == "1" else G.mul(G.mul(x_inv, g), x)
         if c in seen:
             continue
         seen.add(c)

@@ -17,11 +17,13 @@ into commutator words: x^N = c^{g3} and y^N = c^{g4}, where g3 and g4 are
 computed here by collecting the relators, not hard-coded.  The relation
 submodule S is the shift closure of the consistency vectors obtained by
 conjugating both power relations by each generator and comparing the two
-ways of evaluating the result.  Those vectors are collected mechanically
-and then checked to be integer multiples of the norm
-Psi_{p^n}(X) Psi_{p^m}(Y), the all-ones vector, with multiples of gcd 1.
-Shifts fix the norm, so S = Z norm and M = Z^d / Z norm is free of rank
-d - 1; a group failing the check is a theorem violation.  The build
+ways of evaluating the result.  Where a generator conjugates its own
+power, (x^x)^N = x^N exactly, so that vector needs no collection; the
+two mixed ones are collected mechanically.  All four are then checked to
+be integer multiples of the norm Psi_{p^n}(X) Psi_{p^m}(Y), the all-ones
+vector, with multiples of gcd 1.  Shifts fix the norm, so S = Z norm and
+M = Z^d / Z norm is free of rank d - 1; a group failing the check is a
+theorem violation.  The build
 collects in the cover, the group where only the ring relations hold,
 with the shared square-and-multiply ``power`` and ``conjugate``.
 
@@ -244,14 +246,18 @@ class MetabGroup:
         For each power relation (x^N = c^{g3}, y^N = c^{g4}) and each
         generator u, conjugating the left side letter by letter gives
         (x^u)^N = x^N c^{w}; substituting the relation on both sides forces
-        g + w - g * U to die in M.
+        g + w - g * U to die in M.  For u = base, u^u = u, so w = 0 without
+        collecting; the two mixed vectors are collected.
         """
         vectors = []
         x, y = (1, 0, self._zero), (0, 1, self._zero)
         for base, g in ((x, self.g3), (y, self.g4)):
             for u, (ui, uj) in ((x, (1, 0)), (y, (0, 1))):
-                a, b, w = power(cover, conjugate(cover, base, u), self.N)
-                assert (a % self.N, b % self.N) == (0, 0)
+                if u is base:
+                    w = self._zero
+                else:
+                    a, b, w = power(cover, conjugate(cover, base, u), self.N)
+                    assert (a % self.N, b % self.N) == (0, 0)
                 vec = self._add(self._add(g, w), self._neg(self._shift(g, ui, uj)))
                 vectors.append(vec)
         return tuple(vectors)

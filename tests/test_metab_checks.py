@@ -13,18 +13,21 @@ and the one-pass inverse in the cover with the former body, a product
 by x^-a y^-b negated.
 The build's g3, g4 and consistency vectors are recollected
 letter by letter with the oracle's multiplier on every group with
-N <= 64.  No K has torsion or a nontrivial centre, so the other
+N <= 64, and the two vectors the build takes without collecting are
+collected in the cover on five groups.  No K has torsion or a nontrivial centre, so the other
 outcome of each check is reached by injection: power relations x^N or
 y^N set to p-th powers in M, and relation modules whose centre answer the
 oracle's rank test decides.
 """
+
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gentorsion.cli import run
 from gentorsion.errors import TheoremViolationError
-from gentorsion.gentor import _UNSET, SplitMix64
+from gentorsion.gentor import _UNSET, SplitMix64, conjugate, power
 from gentorsion.metab import SIZE_CAP, MetabGroup, _is_prime, build_K
 
 import metab_bruteforce as brute
@@ -88,6 +91,27 @@ def test_build_vectors_agree_with_letter_by_letter_collection(pnm):
     oracle's ``cover_mul``, which shares no multiplier with the build."""
     G = build_K(*pnm)
     assert (G.g3, G.g4, G._relations) == brute.build_vectors(G)
+
+
+@pytest.mark.parametrize("pnm", [(2, 1, 1), (3, 1, 1), (2, 2, 1), (2, 1, 2), (5, 1, 1)],
+                         ids=group_id)
+def test_consistency_vectors_match_full_collection(pnm):
+    """The build takes w = 0 where a generator conjugates its own power;
+    collecting all four (u^-1 t u)^N in the cover, u^u included, with the
+    shared ``power`` and ``conjugate`` gives the same vectors."""
+    G = build_K(*pnm)
+    z = G._zero
+    cover = SimpleNamespace(identity=lambda: (0, 0, z), mul=G._raw_mul, inv=G._raw_inv)
+    x, y = (1, 0, z), (0, 1, z)
+    vectors = []
+    for t, g in ((x, G.g3), (y, G.g4)):
+        for u in (x, y):
+            a, b, w = power(cover, conjugate(cover, t, u), G.N)
+            assert (a, b) == (t[0] * G.N, t[1] * G.N)
+            if u is t:
+                assert tuple(w) == z
+            vectors.append(G._add(G._add(g, w), G._neg(G._shift(g, u[0], u[1]))))
+    assert tuple(vectors) == G._relations
 
 
 def _not_a_multiple(G, vectors):

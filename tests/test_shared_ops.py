@@ -4,7 +4,8 @@ the coset walk and the coset-based certificates.
 Every backend binds ``conj = conjugate`` and ``pow = power`` from
 ``gentor``; the group laws below hold for each of them, and ``power``
 makes the advertised number of multiplications.  ``_verify_product``
-agrees with multiplying the conjugates out.  Every lattice backend binds
+agrees with multiplying the conjugates out, also over runs of equal
+conjugators, and Γ's degree-16 check has a pinned cost.  Every lattice backend binds
 the shared ``labeled_transversal`` and ``order_mod_translation``, built
 from ``coset`` alone; they are checked against each backend's own
 quotient formulas.  ``witness_construct`` walks the labeled transversal
@@ -159,6 +160,48 @@ def test_telescoped_product_check(name):
     check()
 
 
+def run_cases(G):
+    """(name, bases, conjugators, expected) for runs of equal conjugators.
+
+    The backend's identity (g^k)^{x_1} ... (g^k)^{x_m} = 1 spelled with g
+    itself repeats each x_j k times, so it is a product of conjugates of g
+    in runs of k; rotating it by one makes the last run wrap onto the
+    first.  Changing the conjugator of a whole run, or of one copy inside
+    it, must break the product.
+    """
+    k, xs = positive_identity_witnesses(G)
+    g = element(G, [(0, False), (1, True)])
+    gen = G.generators[0][1]
+    one = G.identity()
+    spelled = [x for x in xs for _ in range(k)]
+    whole = [G.mul(x, gen) if x == xs[1] else x for x in spelled]
+    one_copy = list(spelled)
+    one_copy[k] = G.mul(one_copy[k], gen)  # the first copy of xs[1]
+    return [
+        ("runs", [g, gen], spelled, True),
+        ("wrapping run", [g], spelled[1:] + spelled[:1], True),
+        ("powered bases", [G.pow(g, k), G.pow(gen, k)], xs, True),
+        ("all equal, identity base", [one], [xs[1]] * 5, True),
+        ("all equal", [g], [xs[1]] * 5, False),
+        ("single, identity base", [one], [xs[2]], True),
+        ("single", [gen], [xs[2]], False),
+        ("empty", [g, gen], [], True),
+        ("tampered run", [g], whole, False),
+        ("tampered copy in a run", [g], one_copy, False),
+    ]
+
+
+@pytest.mark.parametrize("name", GROUP_LAW_BACKENDS)
+def test_verify_product_over_runs(name):
+    G = backend(name)
+    for case, bases, xs, expected in run_cases(G):
+        plain = all(plain_product_is_one(G, h, xs) for h in bases)
+        assert plain == expected, case
+        assert _verify_product(G, bases, xs) == expected, case
+        # a generator of bases is read once, as the sampled check passes it
+        assert _verify_product(G, iter(bases), iter(xs)) == expected, case
+
+
 class MulCounter:
     """A backend proxy that counts ``mul`` calls."""
 
@@ -184,7 +227,21 @@ def test_power_mul_count(name):
     for k in range(1, 17):
         counter = MulCounter(G)
         assert power(counter, g, k) == G.pow(g, k)
-        assert counter.muls == k.bit_length() - 1 + bin(k).count("1"), k
+        assert counter.muls == k.bit_length() - 2 + bin(k).count("1"), k
+
+
+def test_gamma_identity_check_cost():
+    # the degree-16 list is 8 runs of 2 with distinct ends: 8 products form
+    # the z's once, then each base takes h^2 and 15 products
+    G = backend("gamma")
+    k, xs = positive_identity_witnesses(G)
+    assert k == 1 and len(xs) == 16
+    rng = SplitMix64(5)
+    bases = [random_word_element(G, rng) for _ in range(3)]
+    for count in (1, 3):
+        counter = MulCounter(G)
+        assert _verify_product(counter, bases[:count], xs)
+        assert counter.muls == 8 + 16 * count
 
 
 # -- certificates over every lattice backend --------------------------------
