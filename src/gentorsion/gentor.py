@@ -114,7 +114,7 @@ def labeled_transversal(G):
     walk = [((), one)]
     for word, e in walk:  # entries appended here are walked too
         for name, gen in G.generators:
-            x = G.mul(e, gen) if word else gen  # the empty word is 1
+            x = G.mul(e, gen)
             label = G.coset(x)
             if label not in seen:
                 seen.add(label)
@@ -251,22 +251,14 @@ def _verify_product(G, bases, conjugators):
     x_1 (h^{x_1} ... h^{x_m}) x_1^-1, which is 1 exactly when the product
     of conjugates is.  Equal neighbours give z_j = 1, so the check walks
     runs of equal conjugators instead: a run of r copies of x followed
-    by a run of y contributes h^r x y^-1.  Rotating the product
-    conjugates it, so when x_m = x_1 the last run joins the first.  With
-    n >= 2 runs the n z's are formed once, and each base costs 2n - 1
-    muls plus one ``power`` per distinct run length.  A single run of m
-    leaves (h^m)^x, so only h^m is tested.  An empty list is the empty
-    product, 1.
+    by a run of y contributes h^r x y^-1.  The n z's of n runs are formed
+    once, and each base costs 2n - 1 muls plus one ``power`` per distinct
+    run length.  An empty list is the empty product, 1.
     """
     runs = [(x, len(list(run))) for x, run in groupby(conjugators)]
     if not runs:
         return True
-    if len(runs) > 1 and runs[0][0] == runs[-1][0]:
-        x, r = runs.pop()
-        runs[0] = (x, runs[0][1] + r)
     one = G.identity()
-    if len(runs) == 1:  # h^x ... h^x = (h^m)^x
-        return all(power(G, h, runs[0][1]) == one for h in bases)
     xs = [x for x, _ in runs]
     zs = [G.mul(x, G.inv(y)) for x, y in zip(xs, xs[1:] + xs[:1])]
     lengths = [r for _, r in runs]
@@ -504,14 +496,12 @@ def _generator_ball(G, radius: int):
     entries, seen, bounds = ball.entries, ball.seen, ball.bounds
     while len(bounds) <= radius + 1 and bounds[-2] < bounds[-1]:
         for w, e, e_inv in entries[bounds[-2] : bounds[-1]]:
-            first = w == "1"  # e is the identity, so e * l = l
             for lw, le, le_inv in ball.letters:
-                p = le if first else G.mul(e, le)
+                p = G.mul(e, le)
                 if p in seen:
                     continue
                 seen.add(p)
-                entries.append((lw, le, le_inv) if first
-                               else (f"{w}*{lw}", p, G.mul(le_inv, e_inv)))
+                entries.append((lw if w == "1" else f"{w}*{lw}", p, G.mul(le_inv, e_inv)))
         bounds.append(len(entries))
     return entries[: bounds[min(radius + 1, len(bounds) - 1)]]
 

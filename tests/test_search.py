@@ -197,14 +197,14 @@ def test_smaller_radius_builds_nothing_new(k311):
 
 
 def test_odd_length_search_stops_early(k311):
-    # radius 1, k = 9: the ball is 1 and the letters, so it takes no
-    # products; 8 form the conjugates (x^1 is x itself), of which 3 are
-    # distinct and make up level 1 as they are.  The certificate 1^3 y^3
-    # (y^-1)^3 has three runs: 3 products form the z's, 2 form x^3 and 5
-    # re-multiply it.  Levels 2 to 5 take the other 122, as level 5 stops
-    # at its first state whose inverse lies in level 4.
+    # radius 1, k = 9: 8 products build the ball and its inverses, 8 form
+    # the conjugates (x^1 is x itself), of which 3 are distinct and make
+    # up level 1 as they are.  The certificate 1^3 y^3 (y^-1)^3 has three
+    # runs: 3 products form the z's, 2 form x^3 and 5 re-multiply it.
+    # Levels 2 to 5 take the other 122, as level 5 stops at its first
+    # state whose inverse lies in level 4.
     x = k311.collect([("x", 1)])
     counter = MulCounter(k311)
     cert = gen_order_search(counter, x, max_k=9, radius=1)
     assert cert.length == 9
-    assert counter.muls == 140
+    assert counter.muls == 148
