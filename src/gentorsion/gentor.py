@@ -273,13 +273,17 @@ def _verify_product(G, bases, conjugators):
     return True
 
 
-def _power_word(base_word: str, i: int) -> str:
-    if i == 1:
-        return base_word
+def _power_words(base_word: str, n: int) -> list:
+    """The words of base^i for 1 <= i < n, at index i - 1.
+
+    ``base_word`` is parsed once, and only when some i >= 2 needs it.
+    """
+    if n < 3:
+        return [base_word] * (n - 1)
     tree = parse_word(base_word)
     if not isinstance(tree, (Gen, Ident)):
         tree = Mul((tree,))  # printed with parentheses
-    return print_word(Pow(tree, i))
+    return [base_word] + [print_word(Pow(tree, i)) for i in range(2, n)]
 
 
 def witness_construct(G, g, base_word: str = "g") -> WitnessCertificate:
@@ -304,6 +308,7 @@ def witness_construct(G, g, base_word: str = "g") -> WitnessCertificate:
     powers = [G.identity(), g]  # powers[i] = g^i, read for 1 <= i < n
     for _ in range(2, n):
         powers.append(G.mul(powers[-1], g))
+    power_words = _power_words(base_word, n)
     covered = set()
     words = []
     conjugators = []
@@ -315,7 +320,7 @@ def witness_construct(G, g, base_word: str = "g") -> WitnessCertificate:
                 words.append(w)
                 x = s
             else:
-                pw = _power_word(base_word, i)
+                pw = power_words[i - 1]
                 words.append(pw if w == "1" else f"{pw}*{w}")
                 x = powers[i] if w == "1" else G.mul(powers[i], s)
             conjugators.append(x)

@@ -54,7 +54,7 @@ from types import SimpleNamespace
 from .errors import GroupInputError, TheoremViolationError
 from .gentor import (_UNSET, conjugate, labeled_transversal, order_mod_translation, power,
                      transversal)
-from .intlin import IntMatrix, cokernel_structure
+from .intlin import AbelianStructure, IntMatrix
 
 SIZE_CAP = 256  # largest accepted N = p^(n+m)
 
@@ -340,9 +340,14 @@ class MetabGroup:
     def holonomy_exponent(self) -> int:
         return lcm(self.qn, self.qm)
 
-    def abelianization(self):
+    def abelianization(self) -> AbelianStructure:
+        """G^ab = C_N x C_N, stated: x and y generate it freely modulo N, as
+        the commutator c dies and x^N, y^N are powers of c.  Its relation
+        matrix diag(N, N) is already in Smith form, so both transforms are
+        the identity and no elimination runs."""
         if self._ab is None:
-            self._ab = cokernel_structure(IntMatrix.diagonal([self.N, self.N]))
+            one = IntMatrix.identity(2)
+            self._ab = AbelianStructure((self.N, self.N), 0, one, (self.N, self.N), (0, 1), one)
         return self._ab
 
     def ab_vector(self, g: MetabElement) -> tuple:

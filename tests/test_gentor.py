@@ -28,6 +28,7 @@ from gentorsion.gentor import (
     verify_identity_universal,
     witness_construct,
 )
+from gentorsion import gentor
 from gentorsion.words import eval_word, parse_word
 
 
@@ -44,6 +45,17 @@ def klein():
 @pytest.fixture(scope="module")
 def wreath2():
     return ExtensionGroup(build_wreath([[0, 1], [1, 0]]), name="wreath2")
+
+
+# S3 with index 0 the identity; 1, 2 and 5 are the transpositions
+S3 = [
+    [0, 1, 2, 3, 4, 5],
+    [1, 0, 3, 2, 5, 4],
+    [2, 4, 0, 5, 1, 3],
+    [3, 5, 1, 4, 0, 2],
+    [4, 2, 5, 0, 3, 1],
+    [5, 3, 4, 1, 2, 0],
+]
 
 
 def gens(G):
@@ -204,6 +216,57 @@ def test_witness_lengths_scale_with_index():
     cert = witness_construct(G, x, base_word="x")
     check_cert(G, cert)
     assert cert.length == 9
+
+
+# (group, element, base word, the base as printed inside a power, order
+# of gA); the base is "g" or the element's own word.  Printed powers:
+# a product keeps the double parentheses the printer gives a product
+# wrapped as one factor; any other compound word gets one pair
+POWER_WORD_CASES = [
+    ("K:3,1,1", "x", "g", "g", 3),
+    ("K:3,1,1", "x", "x", "x", 3),
+    ("K:3,1,1", "x*y", "x*y", "((x*y))", 3),
+    ("K:3,1,1", "x^2", "x^2", "(x^2)", 3),
+    ("wreath_s3", "s1*s2", "g", "g", 3),
+    ("wreath_s3", "s3", "s3", "s3", 3),
+    ("wreath_s3", "s1*s2", "s1*s2", "((s1*s2))", 3),
+    ("promislow_x_klein", "x*x2", "g", "g", 2),
+    ("promislow_x_klein", "x*x2", "x*x2", "((x*x2))", 2),
+]
+
+
+def power_word_group(name):
+    if name == "K:3,1,1":
+        return build_K_group(3, 1, 1)
+    if name == "wreath_s3":
+        return ExtensionGroup(build_wreath(S3), name=name)
+    return ExtensionGroup(direct_product(build_promislow(), build_klein_bottle()), name=name)
+
+
+@pytest.mark.parametrize("name, element, base, wrapped, n", POWER_WORD_CASES,
+                         ids=[f"{c[0]}-{c[2]}" for c in POWER_WORD_CASES])
+def test_witness_power_words(name, element, base, wrapped, n, monkeypatch):
+    """Word i of each block of n is the i-th power word of the base times
+    the block's transversal word, and the base is parsed at most once."""
+    G = power_word_group(name)
+    g = eval_word(G, parse_word(element))
+    calls = []
+
+    def counting_parse(text):
+        calls.append(text)
+        return parse_word(text)
+
+    monkeypatch.setattr(gentor, "parse_word", counting_parse)
+    cert = witness_construct(G, g, base_word=base)
+    check_cert(G, cert)
+    assert G.order_mod_translation(g) == n
+    assert calls == ([base] if n >= 3 else [])
+    assert cert.length == G.translation_index()
+    for start in range(0, cert.length, n):
+        rep = cert.words[start]
+        for i in range(1, n):
+            pw = base if i == 1 else f"{wrapped}^{i}"
+            assert cert.words[start + i] == (pw if rep == "1" else f"{pw}*{rep}")
 
 
 # -- positive identities ---------------------------------------------------

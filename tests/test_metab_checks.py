@@ -25,9 +25,12 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gentorsion import intlin
 from gentorsion.cli import run
 from gentorsion.errors import TheoremViolationError
-from gentorsion.gentor import _UNSET, SplitMix64, conjugate, power
+from gentorsion.gentor import (_UNSET, SplitMix64, conjugate, gen_exponent_bounds,
+                               is_generalized_torsion, power, witness_construct)
+from gentorsion.intlin import IntMatrix, cokernel_structure
 from gentorsion.metab import SIZE_CAP, MetabGroup, _is_prime, build_K
 
 import metab_bruteforce as brute
@@ -83,6 +86,43 @@ def test_every_group_under_the_cap_builds():
         v = rand_vec(rng, G.d)
         assert G._make(0, 0, tuple(v)).coords == module.canonical(v) == tuple(
             x - v[0] for x in v[1:]), pnm
+
+
+def test_stated_abelianization_is_the_smith_cokernel():
+    """G^ab = C_N x C_N is stated, not eliminated: on all 44 K it equals,
+    field by field, the cokernel of diag(N, N) by Smith elimination, and
+    reads seeded vectors and coordinates the same way."""
+    rng = SplitMix64(22)
+    for pnm in groups_up_to(SIZE_CAP):
+        G = build_K(*pnm)
+        stated = G.abelianization()
+        eliminated = cokernel_structure(IntMatrix.diagonal([G.N, G.N]))
+        for field in stated._fields:
+            assert getattr(stated, field) == getattr(eliminated, field), (pnm, field)
+        assert stated.describe() == f"C{G.N} x C{G.N}"
+        for _ in range(5):
+            v = rand_vec(rng, 2, spread=3 * G.N)
+            assert stated.canonical(v) == eliminated.canonical(v), (pnm, v)
+            assert stated.order_of(v) == eliminated.order_of(v), (pnm, v)
+            assert stated.lift(v) == eliminated.lift(v), (pnm, v)
+
+
+@pytest.mark.parametrize("pnm", [(2, 1, 1), (3, 1, 1), (2, 4, 4)], ids=group_id)
+def test_no_K_structure_query_runs_a_smith_elimination(pnm, monkeypatch):
+    """Build, G^ab, bounds, torsion, centre, membership and a witness,
+    with every Smith elimination made to raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a K structure query ran a Smith elimination")
+
+    monkeypatch.setattr(intlin, "_smith_eliminate", refuse)
+    G = build_K(*pnm)
+    assert G.abelianization().invariant_factors == (G.N, G.N)
+    assert gen_exponent_bounds(G).upper == G.N
+    assert G.is_torsion_free()
+    assert G.has_trivial_center()
+    g = G.mul(*(h for _, h in G.generators))
+    assert is_generalized_torsion(G, g)
+    assert witness_construct(G, g, base_word="x*y").length == G.N
 
 
 @pytest.mark.parametrize("pnm", groups_up_to(64), ids=group_id)
