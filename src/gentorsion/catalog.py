@@ -6,6 +6,10 @@ collection backend, wreath products Z wr Q and free abelianized extensions
 F/[R,R] are built from a finite multiplication table, and the group-ring
 backend Gamma = (ZP) x| (P x P) supports sampled identity checking on a
 group that is not abelian-by-finite.
+
+F/[R,R] is read off the Cayley graph of Q, whose cycle group is R/[R,R]:
+phi, the cocycle and the generators are sums of translated spanning-tree
+paths, and no word in the free generators is built or rewritten.
 """
 
 from __future__ import annotations
@@ -99,113 +103,84 @@ class FreeAbelExtInput(namedtuple("FreeAbelExtInput", "rank q_table images")):
 def build_free_abelianized_extension(inp: FreeAbelExtInput) -> ExtensionSpec:
     """F/[R,R] for F free of rank r and R the kernel of F ->> Q.
 
-    The lattice is R/[R,R], free abelian on the non-tree Schreier
-    generators (rank |Q|(r-1)+1).  Transversal words come from a
-    breadth-first Schreier tree; the point action and cocycle are obtained
-    by pushing W_q^-1 b W_q and W_{qq'}^-1 W_q W_{q'} through the Schreier
-    rewriting map and abelianizing.
+    R/[R,R] is the relation module: the cycle group of the Cayley graph of
+    Q whose edge (p, i) runs from p to p * img_i.  A breadth-first spanning
+    tree from 0 gives P_q, the tree path from 0 to q as a map from edges to
+    signs; v.P moves each edge (p, i) of P to (v p, i), and proj reads a
+    sum of paths on the non-tree edges in (q, i) order, the lattice basis
+    (rank |Q|(r-1)+1).  With e_b the edge b = (p, i):
+
+        phi(q) column b = proj(q^-1.(P_p + e_b - P_{p img_i}))
+        coc(q, q')      = proj((q q')^-1.(P_q + q.P_{q'} - P_{q q'}))
+        f_i             = (img_i, proj(img_i^-1.(e_{(0, i)} - P_{img_i})))
+
+    These are the abelianized Schreier rewrites of W_q^-1 b W_q,
+    W_{qq'}^-1 W_q W_{q'} and W_{img_i}^-1 f_i, for W_q the word along P_q.
 
     The table is checked first, as ``build_wreath`` checks it; the spec is
     validated once built, and a failure there is a construction bug.
     """
-    r = inp.rank
-    table = inp.q_table
+    r, table, images = inp.rank, inp.q_table, inp.images
     size = len(table)
-    failures = point_table_failures(table, inp.images)
+    failures = point_table_failures(table, images)
     if failures:
         raise GroupInputError("invalid multiplication table: " + "; ".join(failures[:3]))
     if r < 1:
         raise GroupInputError("free rank must be at least 1")
-    if len(inp.images) != r:
+    if len(images) != r:
         raise GroupInputError("need exactly one image per free generator")
-    for q in inp.images:
+    for q in images:
         if not 0 <= q < size:
             raise GroupInputError("generator image outside the group")
     inverse = [row.index(0) for row in table]
 
-    # breadth-first Schreier tree; transversal words as (gen, +-1) lists.
-    # A tree edge (q, i) is the edge q -> q * image(f_i), recorded when it
-    # first reaches a coset (read backwards for an inverse step).
-    words = {0: ()}
-    tree_edges = set()
+    # breadth-first tree; a step by img_i^-1 from q to t crosses the edge
+    # (t, i) backwards
+    paths = {0: {}}
     frontier = [0]
     while frontier:
         nxt = []
         for q in frontier:
-            for i, img in enumerate(inp.images):
-                for sgn, target in ((1, table[q][img]), (-1, table[q][inverse[img]])):
-                    if target not in words:
-                        words[target] = words[q] + ((i, sgn),)
-                        tree_edges.add((q, i) if sgn == 1 else (target, i))
-                        nxt.append(target)
+            for i, img in enumerate(images):
+                for sgn, t in ((1, table[q][img]), (-1, table[q][inverse[img]])):
+                    if t not in paths:
+                        paths[t] = {**paths[q], ((q, i) if sgn == 1 else (t, i)): sgn}
+                        nxt.append(t)
         frontier = nxt
-    if len(words) != size:
+    if len(paths) != size:
         raise GroupInputError("generator images do not generate the target group")
 
-    schreier = []
-    index = {}
-    for q in range(size):
-        for i in range(r):
-            if (q, i) not in tree_edges:
-                index[(q, i)] = len(schreier)
-                schreier.append((q, i))
-    rank = len(schreier)
-    if rank != size * (r - 1) + 1:
+    tree = {edge for path in paths.values() for edge in path}
+    off_tree = [(q, i) for q in range(size) for i in range(r) if (q, i) not in tree]
+    if len(off_tree) != size * (r - 1) + 1:
         raise TheoremViolationError(
-            f"Schreier generator count {rank} differs from |Q|(r-1)+1 = {size * (r - 1) + 1}"
+            f"Schreier generator count {len(off_tree)} differs from |Q|(r-1)+1 = {size * (r - 1) + 1}"
         )
 
-    def rewrite(word):
-        """Abelianized Schreier rewriting; returns (vector, end coset)."""
-        vec = [0] * rank
-        q = 0
-        for i, sgn in word:
-            if sgn == 1:
-                edge = (q, i)
-                q = table[q][inp.images[i]]
-                if edge in index:
-                    vec[index[edge]] += 1
-            else:
-                q = table[q][inverse[inp.images[i]]]
-                edge = (q, i)
-                if edge in index:
-                    vec[index[edge]] -= 1
-        return vec, q
-
-    def inv_word(word):
-        return tuple((i, -sgn) for i, sgn in reversed(word))
+    def proj(*terms):
+        """The sum of sgn * v.P over the terms (v, sgn, P) on the non-tree edges."""
+        acc = dict.fromkeys(off_tree, 0)
+        for v, sgn, path in terms:
+            for (p, i), s in path.items():
+                edge = (table[v][p], i)
+                if edge in acc:
+                    acc[edge] += sgn * s
+        return list(acc.values())
 
     phi = []
     for q in range(size):
-        cols = []
-        for b_q, b_i in schreier:
-            # b as a word: W_{b_q} f_i W_{target}^-1
-            target = table[b_q][inp.images[b_i]]
-            b_word = words[b_q] + ((b_i, 1),) + inv_word(words[target])
-            conj = inv_word(words[q]) + b_word + words[q]
-            vec, end = rewrite(conj)
-            if end != 0:
-                raise TheoremViolationError("conjugated Schreier generator left the kernel")
-            cols.append(vec)
-        phi.append([[cols[j][i] for j in range(rank)] for i in range(rank)])
-
-    coc = []
-    for q1 in range(size):
-        row = []
-        for q2 in range(size):
-            walk = words[q1] + words[q2]
-            vec, end = rewrite(inv_word(words[table[q1][q2]]) + walk)
-            if end != 0:
-                raise TheoremViolationError("cocycle word left the kernel")
-            row.append(vec)
-        coc.append(row)
-
-    generators = []
-    for i, img in enumerate(inp.images):
-        vec, end = rewrite(inv_word(words[img]) + ((i, 1),))
-        if end != 0:
-            raise TheoremViolationError("generator decomposition left the kernel")
-        generators.append((f"f{i + 1}", (img, vec)))
+        v = inverse[q]
+        # b = (p, i) is off the tree, so e_b adds a new key to P_p
+        cols = [proj((v, 1, {**paths[p], (p, i): 1}), (v, -1, paths[table[p][images[i]]]))
+                for p, i in off_tree]
+        phi.append([list(row) for row in zip(*cols)])
+    # (q q')^-1 q = q'^-1
+    coc = [[proj((inverse[table[q1][q2]], 1, paths[q1]), (inverse[q2], 1, paths[q2]),
+                 (inverse[table[q1][q2]], -1, paths[table[q1][q2]]))
+            for q2 in range(size)] for q1 in range(size)]
+    generators = [(f"f{i + 1}", (img, proj((inverse[img], 1, {(0, i): 1}),
+                                          (inverse[img], -1, paths[img]))))
+                  for i, img in enumerate(images)]
 
     spec = ExtensionSpec.build(table, phi, coc, generators)
     report = validate_extension(spec)

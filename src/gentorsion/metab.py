@@ -78,16 +78,20 @@ class MetabGroup:
     """The group K(p^n, p^m) with exact normal-form arithmetic."""
 
     def __init__(self, p: int, n: int, m: int):
-        if not _is_prime(p):
-            raise GroupInputError(f"p must be prime, got {p}")
         if n < 1 or m < 1:
             raise GroupInputError("n and m must be at least 1")
+        # bound the size before forming a power of p or dividing p: for
+        # p >= 2, p^(n+m) > cap whenever p > cap or n + m > bit_length(cap)
+        cap = SIZE_CAP
+        if p >= 2 and (p > cap or n + m > cap.bit_length() or p ** (n + m) > cap):
+            raise GroupInputError(
+                f"p^(n+m) for p = {p}, n = {n}, m = {m} exceeds the size cap {cap}")
+        if not _is_prime(p):
+            raise GroupInputError(f"p must be prime, got {p}")
         self.p, self.n_exp, self.m_exp = p, n, m
         self.qn = p**n
         self.qm = p**m
         self.N = p ** (n + m)
-        if self.N > SIZE_CAP:
-            raise GroupInputError(f"p^(n+m) = {self.N} exceeds the size cap {SIZE_CAP}")
         self.d = self.qn * self.qm
         self.key = (p, n, m)
         self.name = f"K:{p},{n},{m}"
@@ -167,11 +171,8 @@ class MetabGroup:
     @staticmethod
     def _psi(k: int, modulus: int):
         """Psi_k(T) modulo T^modulus - 1, as a coefficient list."""
-        if k >= 0:
-            base, extra = divmod(k, modulus)
-            return [base + 1] * extra + [base] * (modulus - extra)
-        pos = MetabGroup._psi(-k, modulus)
-        return [-pos[(i - k) % modulus] for i in range(modulus)]
+        base, extra = divmod(k, modulus)
+        return [base + 1] * extra + [base] * (modulus - extra)
 
     def monomial(self, i: int, j: int):
         out = [0] * self.d

@@ -11,6 +11,11 @@ conjugate b^-1 * a * b; ``[a,b]`` is the commutator a^-1 * b^-1 * a * b.
 The caret chains to the left: ``x^y^2`` is ``(x^y)^2``.  The literal ``1``
 is the identity; no other bare integer is a valid atom.
 
+A word nests at most ``MAX_DEPTH`` levels: each parenthesis, bracket and
+caret adds one to what it encloses or raises, so ``((x))`` and ``x^y^2``
+are two deep.  A deeper word is a WordSyntaxError at the token that
+passes the bound; parsing, printing and evaluation recurse no further.
+
 Trees round-trip: parse_word(print_word(t)) == t for every tree whose
 products have at least two factors, with no simplification performed by
 either direction.
@@ -21,6 +26,9 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import GroupInputError
+
+
+MAX_DEPTH = 100  # deepest accepted nesting of a parsed word
 
 
 class WordSyntaxError(ValueError):
@@ -114,10 +122,20 @@ def _tokenize(text: str):
     return toks
 
 
+def _bound(depth: int, at: int) -> int:
+    if depth > MAX_DEPTH:
+        raise WordSyntaxError(f"word nested deeper than {MAX_DEPTH} levels", at)
+    return depth
+
+
 class _Parser:
+    """Recursive descent; each rule returns (tree, depth).  ``open``, the
+    brackets around the current token, bounds the depth before recursing."""
+
     def __init__(self, toks):
         self.toks = toks
         self.pos = 0
+        self.open = 0
 
     def peek(self):
         return self.toks[self.pos]
@@ -133,30 +151,29 @@ class _Parser:
         kind, value, at = self.peek()
         if kind == "name":
             self.take()
-            return Gen(value)
+            return Gen(value), 0
         if kind == "int":
             self.take()
             if value != "1":
                 raise WordSyntaxError("the only integer atom is the identity 1", at)
-            return Ident()
-        if kind == "(":
-            self.take()
-            inner = self.expr()
-            self.take(")")
-            return inner
+            return Ident(), 0
+        if kind not in ("(", "["):
+            raise WordSyntaxError(f"expected an atom, found {value!r}", at)
+        self.take()
+        self.open = _bound(self.open + 1, at)
+        node, depth = self.expr()
         if kind == "[":
-            self.take()
-            left = self.expr()
             self.take(",")
-            right = self.expr()
-            self.take("]")
-            return Comm(left, right)
-        raise WordSyntaxError(f"expected an atom, found {value!r}", at)
+            right, d_right = self.expr()
+            node, depth = Comm(node, right), max(depth, d_right)
+        self.take(")" if kind == "(" else "]")
+        self.open -= 1
+        return node, _bound(depth + 1, at)
 
     def power(self):
-        node = self.atom()
+        node, depth = self.atom()
         while self.peek()[0] == "^":
-            self.take()
+            caret = self.take()[2]
             kind, value, at = self.peek()
             if kind == "-":
                 self.take()
@@ -166,23 +183,26 @@ class _Parser:
                 self.take()
                 node = Pow(node, int(value))
             else:
-                node = Conj(node, self.atom())
-        return node
+                by, d_by = self.atom()
+                node, depth = Conj(node, by), max(depth, d_by)
+            depth = _bound(depth + 1, caret)
+        return node, depth
 
     def expr(self):
-        factors = [self.power()]
+        parts = [self.power()]
         while self.peek()[0] == "*":
             self.take()
-            factors.append(self.power())
-        if len(factors) == 1:
-            return factors[0]
-        return Mul(tuple(factors))
+            parts.append(self.power())
+        if len(parts) == 1:
+            return parts[0]
+        factors, depths = zip(*parts)
+        return Mul(factors), max(depths)
 
 
 def parse_word(text: str):
     """Parse ``text`` into a word tree; raises WordSyntaxError."""
     parser = _Parser(_tokenize(text))
-    tree = parser.expr()
+    tree, _ = parser.expr()
     kind, value, at = parser.peek()
     if kind != "end":
         raise WordSyntaxError(f"trailing input {value!r}", at)

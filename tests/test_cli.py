@@ -1,6 +1,7 @@
 """Command-line interface, driven in-process through run()."""
 
 import json
+import time
 
 import pytest
 
@@ -455,6 +456,25 @@ def test_input_errors(tmp_path, capsys):
     broken.write_text("{nope")
     code, _, err = invoke(capsys, "validate", str(broken))
     assert code == 2 and "not valid JSON" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("info", "K:2,20000,1"),
+    ("info", "K:3,9000,1"),
+    ("info", "K:2305843009213693951,1,1"),
+    ("decide", "promislow", "(" * 400 + "x" + ")" * 400),
+    ("decide", "promislow", "[x," * 400 + "y" + "]" * 400),
+    ("decide", "promislow", "x" + "^x" * 3000),
+], ids=["K-deep-n", "K-long-N", "K-large-p", "parentheses", "commutators", "carets"])
+def test_oversized_input_is_refused_quickly(capsys, argv):
+    """Over-cap K addresses and over-deep words exit 2 within a second,
+    with no traceback and no number that would not fit on a line."""
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert len(err) < 120
 
 
 def test_large_power_in_gamma(capsys):

@@ -183,6 +183,18 @@ def test_psi_is_two_runs_for_every_exponent():
             assert MetabGroup._psi(k, q) == [t + 1] * r + [t] * (q - r), (k, q)
 
 
+def test_psi_closed_form_is_the_geometric_sum():
+    """The closed form against the definition: Psi_a(T) = 1 + ... + T^(a-1)
+    for a >= 0 and Psi_-a(T) = -T^-a Psi_a(T) = -(T^-a + ... + T^-1), summed
+    term by term modulo T^q - 1."""
+    for q in range(1, 12):
+        for k in range(-60, 61):
+            want = [0] * q
+            for i in range(k) if k >= 0 else range(k, 0):
+                want[i % q] += 1 if k >= 0 else -1
+            assert MetabGroup._psi(k, q) == want, (k, q)
+
+
 def test_relator_tails_frozen(k211):
     assert k211.g3 == (-1, 0, -1, 0)
     assert k211.g4 == (1, 1, 0, 0)
@@ -381,6 +393,34 @@ def test_build_errors(monkeypatch):
         build_K(2, 5, 4)
     monkeypatch.setattr(metab, "SIZE_CAP", 1024)
     assert MetabGroup(2, 5, 4).N == 512
+
+
+@pytest.mark.parametrize("p, n, m", [
+    (2, 20000, 1), (3, 9000, 1), (2305843009213693951, 1, 1), (2, 5, 4), (17, 1, 1),
+])
+def test_size_cap_checked_before_any_power_or_primality_test(monkeypatch, p, n, m):
+    """An over-cap K is refused before p^n is formed or p is divided: the
+    message names p, n, m and the cap, and no power of p."""
+    def no_trial_division(_):
+        raise AssertionError("primality tested before the size cap")
+
+    monkeypatch.setattr(metab, "_is_prime", no_trial_division)
+    with pytest.raises(GroupInputError) as info:
+        MetabGroup(p, n, m)
+    assert str(info.value) == f"p^(n+m) for p = {p}, n = {n}, m = {m} exceeds the size cap 256"
+
+
+def test_size_cap_read_at_call_time(monkeypatch):
+    monkeypatch.setattr(metab, "SIZE_CAP", 16)
+    with pytest.raises(GroupInputError, match="exceeds the size cap 16$"):
+        MetabGroup(2, 3, 2)
+    assert MetabGroup(2, 2, 2).N == 16
+    with pytest.raises(GroupInputError, match="n and m must be at least 1"):
+        MetabGroup(2, 0, 20000)
+    # p < 2 is never over the cap; it fails the primality test
+    for p in (1, 0, -3):
+        with pytest.raises(GroupInputError, match="p must be prime"):
+            MetabGroup(p, 30, 1)
 
 
 def test_cross_group_elements_rejected(k211):

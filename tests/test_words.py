@@ -4,6 +4,7 @@ import pytest
 
 from gentorsion.errors import GroupInputError
 from gentorsion.words import (
+    MAX_DEPTH,
     Comm,
     Conj,
     Gen,
@@ -59,6 +60,71 @@ def test_only_ascii_digits_are_integers(text):
     with pytest.raises(WordSyntaxError) as info:
         parse_word(text)
     assert info.value.position == len(text) - 1
+
+
+def wrapped(k):
+    """A word of depth k that alternates parentheses and carets, so the
+    brackets open around any token stay near k / 2."""
+    word = "x^y" if k % 2 else "x"
+    for _ in range(k // 2):
+        word = f"({word})^y"
+    return word
+
+
+def conjugators(k):
+    """A word of depth k whose depth is in its nested conjugators."""
+    word = "x^y" if k % 2 else "y"
+    for _ in range(k // 2):
+        word = f"x^({word})"
+    return word
+
+
+# depth k words, and where a word of depth MAX_DEPTH + 1 passes the bound
+DEEP = {
+    "parentheses": (lambda k: "(" * k + "x" + ")" * k, lambda text: MAX_DEPTH),
+    "commutators": (lambda k: "[x," * k + "y" + "]" * k, lambda text: 3 * MAX_DEPTH),
+    "conjugates": (lambda k: "x" + "^x" * k, lambda text: 1 + 2 * MAX_DEPTH),
+    "powers": (lambda k: "x" + "^-1" * k, lambda text: 1 + 3 * MAX_DEPTH),
+    "wrapped": (wrapped, lambda text: len(text) - 2),
+    "conjugators": (conjugators, lambda text: 1),
+    "bracketed chain": (lambda k: "[x,y" + "^x" * (k - 1) + "]", lambda text: 0),
+    "product": (lambda k: "(x*y" + "^x" * (k - 1) + ")", lambda text: 0),
+}
+
+
+@pytest.mark.parametrize("kind", DEEP)
+def test_depth_bound(kind):
+    deep, passed_at = DEEP[kind]
+    tree = parse_word(deep(MAX_DEPTH))
+    assert parse_word(print_word(tree)) == tree
+    text = deep(MAX_DEPTH + 1)
+    with pytest.raises(WordSyntaxError, match="deeper than") as info:
+        parse_word(text)
+    assert info.value.position == passed_at(text)
+    with pytest.raises(WordSyntaxError):
+        parse_word(deep(3000))
+
+
+def test_long_flat_words_are_shallow():
+    # depth counts nesting, not length
+    for factor in ("(x)", "[x,y]", "x^y^-1"):
+        text = "*".join([factor] * 3 * MAX_DEPTH)
+        assert parse_word(text) == Mul((parse_word(factor),) * 3 * MAX_DEPTH)
+
+
+def test_deep_words_evaluate():
+    G = ExtensionGroup(build_klein_bottle(), name="klein")
+    gens = dict(G.generators)
+    x, y = gens["x"], gens["y"]
+    comm = y
+    for _ in range(50):
+        comm = G.mul(G.mul(G.inv(x), G.inv(comm)), G.mul(x, comm))
+    assert eval_word(G, parse_word(DEEP["commutators"][0](50))) == comm
+    # conjugation by y inverts x
+    assert eval_word(G, parse_word(DEEP["conjugates"][0](50).replace("^x", "^y"))) == x
+    assert eval_word(G, parse_word(wrapped(50))) == G.inv(x)
+    assert eval_word(G, parse_word(DEEP["parentheses"][0](50))) == x
+    assert eval_word(G, parse_word(DEEP["powers"][0](MAX_DEPTH))) == x
 
 
 def test_print_examples():
