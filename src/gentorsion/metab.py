@@ -23,9 +23,17 @@ two mixed ones are collected mechanically.  All four are then checked to
 be integer multiples of the norm Psi_{p^n}(X) Psi_{p^m}(Y), the all-ones
 vector, with multiples of gcd 1.  Shifts fix the norm, so S = Z norm and
 M = Z^d / Z norm is free of rank d - 1; a group failing the check is a
-theorem violation.  The build
-collects in the cover, the group where only the ring relations hold,
-with the shared square-and-multiply ``power`` and ``conjugate``.
+theorem violation, as is a relator that collects to the wrong x- or
+y-exponent.  The build collects in the cover, the group where only the
+ring relations hold, with the shared square-and-multiply ``power`` and
+``conjugate``, and forms each consistency vector g + w - U g in one pass.
+The torsion search powers each residue in the cover too, and folds the
+result once with ``_make``.  The cover is made per call, never kept on
+the group, so a group holds no reference cycle.
+
+A shift X^a Y^b is one ``itemgetter`` from a table of d getters built
+once per group: one index list per b, rotated right by a * p^m entries
+for each a.
 
 The build's collection in the cover and the group's ``mul`` share one
 body, ``_raw_mul``: one pass over the ring vector that shifts, adds, and
@@ -104,14 +112,17 @@ class MetabGroup:
         # the presentation forces to be trivial: they collect to x^N c^w and
         # y^N c^w, so x^N = c^{-w} (and y^N likewise)
         z = self._zero
-        cover = SimpleNamespace(identity=lambda: (0, 0, z), mul=self._raw_mul, inv=self._raw_inv)
+        cover = self._cover()
         tails = []
         for base, unit, steps, want in (((self.qn, 0, z), (0, 1, z), self.qm, (self.N, 0)),
                                         ((0, self.qm, z), (1, 0, z), self.qn, (0, self.N))):
             a, b, w = self._raw_mul(
                 power(cover, self._raw_mul(base, self._raw_inv(unit)), steps),
                 power(cover, unit, steps))
-            assert (a, b) == want
+            if (a, b) != want:
+                raise TheoremViolationError(
+                    f"a power relator of K({self.qn},{self.qm}) collects to x^{a} y^{b}, "
+                    f"not x^{want[0]} y^{want[1]}")
             tails.append(self._neg(w))
         self.g3, self.g4 = tails
 
@@ -143,14 +154,15 @@ class MetabGroup:
 
         Multiplying by X^a Y^b moves the coefficient of X^i Y^j to
         X^{i+a} Y^{j+b}, so entry k = i * qm + j of the result is read from
-        ((i - a) % qn) * qm + (j - b) % qm.
+        ((i - a) % qn) * qm + (j - b) % qm.  For each b one index list is
+        formed, and the getters for a > 0 rotate it right by a * qm entries.
         """
-        qn, qm = self.qn, self.qm
-        cols = [[(j - b) % qm for j in range(qm)] for b in range(qm)]
+        qm, d = self.qm, self.d
+        bases = [[i + (j - b) % qm for i in range(0, d, qm) for j in range(qm)]
+                 for b in range(qm)]
         table = []
-        for a in range(qn):
-            rows = [((i - a) % qn) * qm for i in range(qn)]
-            table.extend(itemgetter(*(r + c for r in rows for c in cols[b])) for b in range(qm))
+        for r in range(d, 0, -qm):
+            table.extend(itemgetter(*base[r:], *base[:r]) for base in bases)
         return table
 
     def _shift(self, v, a: int, b: int):
@@ -222,6 +234,16 @@ class MetabGroup:
             return (-a, -b, list(map(neg, shifted)))
         return (-a, -b, list(map(sub, self._correction(-a, b, -b), shifted)))
 
+    def _cover(self):
+        """The cover as a group for the shared ``power`` and ``conjugate``.
+
+        Made per call and never stored: kept on the group, its bound
+        methods would form a reference cycle, and every K would wait for
+        the cycle collector to be freed.
+        """
+        z = self._zero
+        return SimpleNamespace(identity=lambda: (0, 0, z), mul=self._raw_mul, inv=self._raw_inv)
+
     def collect_unreduced(self, word):
         """Collect a word over {x, y, c} without applying power relations.
 
@@ -251,16 +273,19 @@ class MetabGroup:
         collecting; the two mixed vectors are collected.
         """
         vectors = []
+        N = self.N
         x, y = (1, 0, self._zero), (0, 1, self._zero)
         for base, g in ((x, self.g3), (y, self.g4)):
-            for u, (ui, uj) in ((x, (1, 0)), (y, (0, 1))):
+            for u in (x, y):
                 if u is base:
                     w = self._zero
                 else:
-                    a, b, w = power(cover, conjugate(cover, base, u), self.N)
-                    assert (a % self.N, b % self.N) == (0, 0)
-                vec = self._add(self._add(g, w), self._neg(self._shift(g, ui, uj)))
-                vectors.append(vec)
+                    a, b, w = power(cover, conjugate(cover, base, u), N)
+                    if a % N or b % N:
+                        raise TheoremViolationError(
+                            f"a conjugated power relation of K({self.qn},{self.qm}) "
+                            f"collects to x^{a} y^{b}, not a multiple of x^{N} y^{N}")
+                vectors.append(tuple(map(sub, map(add, g, w), self._shift(g, u[0], u[1]))))
         return tuple(vectors)
 
     # -- normal forms -------------------------------------------------------
@@ -387,8 +412,11 @@ class MetabGroup:
         return self._torsion
 
     def _find_torsion(self):
+        """Each residue's p-th power is taken in the cover and folded once."""
+        z = self._zero
+        cover = self._cover()
         for a, b in self._torsion_residues():
-            c = self.pow(self._make(a, b, self._zero), self.p).coords
+            c = self._make(*power(cover, (a, b, z), self.p)).coords
             if all(x % self.p == 0 for x in c):
                 w = self._make(a, b, (0,) + tuple(-x // self.p for x in c))
                 if self.pow(w, self.p) != self.identity():

@@ -17,15 +17,25 @@ N <= 64, and the two vectors the build takes without collecting are
 collected in the cover on five groups.  No K has torsion or a nontrivial centre, so the other
 outcome of each check is reached by injection: power relations x^N or
 y^N set to p-th powers in M, and relation modules whose centre answer the
-oracle's rank test decides.
+oracle's rank test decides.  A relator that collects to a wrong
+exponent is a theorem violation with or without ``-O``: the build raises,
+and no module of the package holds an ``assert``.  Residue powers taken
+in the cover and folded once agree with the group's ``pow`` on every
+group with N <= 64, every shift getter reads the rotated indices on all
+44 groups, and a queried group is freed on ``del`` with the cycle
+collector off.
 """
 
+import ast
+import gc
+import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gentorsion import intlin
+from gentorsion import intlin, metab
 from gentorsion.cli import run
 from gentorsion.errors import TheoremViolationError
 from gentorsion.gentor import (_UNSET, SplitMix64, conjugate, gen_exponent_bounds,
@@ -152,6 +162,34 @@ def test_consistency_vectors_match_full_collection(pnm):
                 assert tuple(w) == z
             vectors.append(G._add(G._add(g, w), G._neg(G._shift(g, u[0], u[1]))))
     assert tuple(vectors) == G._relations
+
+
+@pytest.mark.parametrize("call", range(6))
+@pytest.mark.parametrize("pnm", ((2, 1, 1), (3, 1, 1)), ids=group_id)
+def test_build_rejects_a_relator_with_a_wrong_exponent(monkeypatch, pnm, call):
+    """The build powers four times for the two relators and twice for the
+    mixed consistency vectors; an x-exponent off by one in any of these
+    is a theorem violation, not an ``assert`` that ``-O`` strips."""
+    calls = []
+
+    def off_by_one(G, g, k):
+        a, b, w = power(G, g, k)
+        calls.append(k)
+        return (a + 1, b, w) if len(calls) == call + 1 else (a, b, w)
+
+    monkeypatch.setattr(metab, "power", off_by_one)
+    with pytest.raises(TheoremViolationError, match="collects to"):
+        build_K(*pnm)
+    assert len(calls) > call
+
+
+def test_package_has_no_assert_statement():
+    """Checks in the package raise, so ``python -O`` keeps them."""
+    package = Path(metab.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, (path.name, lines)
 
 
 def _not_a_multiple(G, vectors):
@@ -313,6 +351,51 @@ def test_shift_table_agrees_with_double_loop(pnm):
         for b in range(-2 * G.qm, 2 * G.qm):
             for v in vectors:
                 assert G._shift(v, a, b) == brute.shift(G, v, a, b), (a, b, v)
+
+
+def test_shift_getters_read_the_rotated_indices():
+    """On all 44 groups the getter of X^a Y^b, a rotation of the a = 0
+    getter, reads entry i * qm + j from ((i - a) % qn) * qm + (j - b) % qm."""
+    for pnm in groups_up_to(SIZE_CAP):
+        G = build_K(*pnm)
+        qn, qm = G.qn, G.qm
+        indices = tuple(range(G.d))
+        for a in range(qn):
+            for b in range(qm):
+                want = tuple(((i - a) % qn) * qm + (j - b) % qm
+                             for i in range(qn) for j in range(qm))
+                assert G._shifts[a * qm + b](indices) == want, (pnm, a, b)
+
+
+@pytest.mark.parametrize("pnm", groups_up_to(64), ids=group_id)
+def test_residue_power_in_the_cover_agrees_with_group_power(pnm):
+    """The torsion search powers each line residue in the cover and folds
+    once; the group's ``pow`` folds after every product."""
+    G = build_K(*pnm)
+    z = G._zero
+    cover = SimpleNamespace(identity=lambda: (0, 0, z), mul=G._raw_mul, inv=G._raw_inv)
+    for a, b in G._torsion_residues():
+        assert G._make(*power(cover, (a, b, z), G.p)) == line_power(G, a, b), (a, b)
+
+
+@pytest.mark.parametrize("pnm", [(2, 1, 1), (3, 1, 1), (2, 4, 4)], ids=group_id)
+def test_queried_group_is_freed_without_the_cycle_collector(pnm):
+    """The build and the torsion search make their cover per call, so a
+    group holds no reference cycle and reference counting frees it."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        G = build_K(*pnm)
+        assert G.abelianization().invariant_factors == (G.N, G.N)
+        assert gen_exponent_bounds(G).upper == G.N
+        assert G.is_torsion_free()
+        assert G.has_trivial_center()
+        ref = weakref.ref(G)
+        del G
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("pnm", SMALL, ids=group_id)

@@ -408,7 +408,7 @@ TORSION_CACHE = {
     "promislow": (promislow, extgroup, "solve_integer_linear", True),
     "dinf": (lambda: ExtensionGroup(build_dihedral_infinite(), name="dinf"), extgroup,
              "solve_integer_linear", False),
-    "K:2,1,1": (lambda: build_K(2, 1, 1), metab.MetabGroup, "mul", True),
+    "K:2,1,1": (lambda: build_K(2, 1, 1), metab.MetabGroup, "_raw_mul", True),
 }
 
 
