@@ -454,15 +454,15 @@ class ExtensionGroup:
         return self.torsion_witness() is None
 
     def center_rank(self) -> int:
-        """Rank of the sublattice fixed by every phi(q).
+        """Rank of the sublattice fixed by every phi(q), read off G^ab.
 
-        Every phi(q) is a product of the phi(s) for s in
-        ``point_generating_set``, so a vector fixed by those is fixed by all.
+        Over Q the homology of the finite Q vanishes in positive degrees,
+        so H_1(G; Q) is H_0(Q; Z^n (x) Q), the coinvariants of the lattice.
+        For a finite group the coinvariants and the invariants of a rational
+        representation have the same dimension, so the fixed sublattice has
+        the free rank of G^ab, and no second elimination runs.
         """
-        s = self.spec
-        ident = IntMatrix.identity(s.n)
-        rows = [row for q in point_generating_set(s) for row in (s.phi[q] - ident).to_lists()]
-        return cokernel_structure(IntMatrix._of(rows, s.n)).free_rank
+        return self.abelianization().free_rank
 
     def verify_positive_identity_all(self, k: int, conjugators) -> bool:
         """True iff prod_j (g^k)^{x_j} = 1 for EVERY group element g.

@@ -39,11 +39,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import groupby
-from math import lcm
+from math import lcm, prod
 
 from .errors import BackendCapabilityError, GroupInputError, TheoremViolationError
 from .intlin import IntMatrix, cokernel_structure
-from .words import Gen, Ident, Mul, Pow, parse_word, print_word, run_word
+from .words import Pow, parse_word, print_word, run_word
 
 
 # a cached answer not yet computed, where None is itself an answer
@@ -276,13 +276,13 @@ def _verify_product(G, bases, conjugators):
 def _power_words(base_word: str, n: int) -> list:
     """The words of base^i for 1 <= i < n, at index i - 1.
 
-    ``base_word`` is parsed once, and only when some i >= 2 needs it.
+    ``base_word`` is parsed once, and only when some i >= 2 needs it.  The
+    caret chains to the left, so base^i prints from the tree as the base
+    and one more caret, with parentheses only around a product.
     """
     if n < 3:
         return [base_word] * (n - 1)
     tree = parse_word(base_word)
-    if not isinstance(tree, (Gen, Ident)):
-        tree = Mul((tree,))  # printed with parentheses
     return [base_word] + [print_word(Pow(tree, i)) for i in range(2, n)]
 
 
@@ -539,9 +539,11 @@ class DirectProductGroup:
     """Componentwise product of two backends, as a backend.
 
     Elements are pairs.  Generators of the right factor are renamed with a
-    trailing "2" when they collide with the left factor's names.  Only the
-    capabilities both factors share are exposed; in particular universal
-    identity verification is not (use the extension-spec product for that).
+    trailing "2" when they collide with the left factor's names.  The
+    lattice capabilities and ``is_torsion_free`` work when both factors
+    provide them and raise BackendCapabilityError, naming the capability
+    and the factor, when one does not.  Universal identity verification is
+    not exposed (use the extension-spec product for that).
     """
 
     def __init__(self, left, right, name: str | None = None):
@@ -569,29 +571,33 @@ class DirectProductGroup:
     transversal = transversal
     order_mod_translation = order_mod_translation
 
+    def _both(self, attr):
+        """The factors' ``attr``, once each factor is checked to provide it."""
+        _require(self.left, attr)
+        _require(self.right, attr)
+        return getattr(self.left, attr), getattr(self.right, attr)
+
     def abelianization(self):
         if self._ab is None:
-            la = self.left.abelianization()
-            ra = self.right.abelianization()
+            la, ra = (f() for f in self._both("abelianization"))
             moduli = list(la.moduli) + list(ra.moduli)
             self._ab = cokernel_structure(IntMatrix.diagonal(moduli))
         return self._ab
 
     def ab_vector(self, g):
-        la = self.left.abelianization()
-        ra = self.right.abelianization()
-        return tuple(la.canonical(self.left.ab_vector(g[0]))) + tuple(
-            ra.canonical(self.right.ab_vector(g[1]))
-        )
+        lv, rv = self._both("ab_vector")
+        la, ra = (f() for f in self._both("abelianization"))
+        return tuple(la.canonical(lv(g[0]))) + tuple(ra.canonical(rv(g[1])))
 
     def coset(self, g):
-        return (self.left.coset(g[0]), self.right.coset(g[1]))
+        lc, rc = self._both("coset")
+        return (lc(g[0]), rc(g[1]))
 
     def translation_index(self) -> int:
-        return self.left.translation_index() * self.right.translation_index()
+        return prod(f() for f in self._both("translation_index"))
 
     def holonomy_exponent(self) -> int:
-        return lcm(self.left.holonomy_exponent(), self.right.holonomy_exponent())
+        return lcm(*(f() for f in self._both("holonomy_exponent")))
 
     def is_torsion_free(self) -> bool:
-        return self.left.is_torsion_free() and self.right.is_torsion_free()
+        return all(f() for f in self._both("is_torsion_free"))

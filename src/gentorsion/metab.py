@@ -27,9 +27,10 @@ theorem violation, as is a relator that collects to the wrong x- or
 y-exponent.  The build collects in the cover, the group where only the
 ring relations hold, with the shared square-and-multiply ``power`` and
 ``conjugate``, and forms each consistency vector g + w - U g in one pass.
-The torsion search powers each residue in the cover too, and folds the
-result once with ``_make``.  The cover is made per call, never kept on
-the group, so a group holds no reference cycle.
+The cover is made per call, never kept on the group, so a group holds
+no reference cycle.  The torsion search needs no cover: on each line
+residue (a, b), (x^a y^b)^p is x^{pa} y^{pb} up to a multiple of the
+norm, so ``_make`` folds it straight from g3 and g4.
 
 A shift X^a Y^b is one ``itemgetter`` from a table of d getters built
 once per group: one index list per b, rotated right by a * p^m entries
@@ -412,11 +413,17 @@ class MetabGroup:
         return self._torsion
 
     def _find_torsion(self):
-        """Each residue's p-th power is taken in the cover and folded once."""
+        """Each residue's p-th power is x^{pa} y^{pb} folded by ``_make``.
+
+        As X^a = Y^b = 1, no factor of (x^a y^b)^p shifts, and every
+        collection correction Psi_{a'}(X) Psi_{b'}(Y) Y^{b''}, with p^n | a'
+        and p^m | b', is a multiple of the norm, which ``_make`` drops.  So
+        c is the fold of g3 and g4 alone, and K is torsion-free iff g3 and
+        g4 are linearly independent in M/pM.
+        """
         z = self._zero
-        cover = self._cover()
         for a, b in self._torsion_residues():
-            c = self._make(*power(cover, (a, b, z), self.p)).coords
+            c = self._make(self.p * a, self.p * b, z).coords
             if all(x % self.p == 0 for x in c):
                 w = self._make(a, b, (0,) + tuple(-x // self.p for x in c))
                 if self.pow(w, self.p) != self.identity():

@@ -4,10 +4,13 @@
 ``ExtensionGroup.center_rank`` quantify over a generating set S of the
 point group (``point_generating_set``).  ``extension_bruteforce`` keeps the
 former checks over every pair and triple; both must accept the same specs,
-give the same G^ab and the same centre rank on catalog specs and products
-up to |Q| = 16, and agree on ``ok`` when one entry of a catalog spec is
-corrupted.  G^ab is compared through orders only, each side reading its
-own presentation, so neither column layout is pinned.  The library's
+give the same G^ab on catalog specs and products up to |Q| = 16, and agree
+on ``ok`` when one entry of a catalog spec is corrupted.  The centre rank,
+read off G^ab with no elimination of its own, must equal the oracle's
+rank of the fixed sublattice on those specs, on the wreaths of C2, C3,
+C4, C2^2 and S3, and on every rank-1 and rank-2 free abelianized
+extension over them.  G^ab is compared through orders only, each side
+reading its own presentation, so neither column layout is pinned.  The library's
 failure lines are the oracle's lines whose last index lies in S, in the
 oracle's order.  ``build_wreath`` and ``build_free_abelianized_extension``
 check their table alone before building; each rejects exactly the
@@ -25,6 +28,8 @@ through its layers with ``_act``; the anti-homomorphism check applies it
 to the columns of phi(q), which must give the columns of ``@`` on every
 pair of phi, and corrupting p6 runs that check with two layers.
 """
+
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,6 +56,7 @@ from gentorsion.extgroup import (
     _act,
     _layers,
 )
+from gentorsion import intlin
 from gentorsion.gentor import SplitMix64, random_word_element
 from gentorsion.intlin import IntMatrix, cokernel_structure
 
@@ -84,6 +90,29 @@ SPECS = {
         direct_product(build_dihedral_infinite(), build_dihedral_infinite())),
 }
 BUILT = {name: build() for name, build in SPECS.items()}
+
+C4 = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+C2_2 = [[i ^ j for j in range(4)] for i in range(4)]
+CENTRE_TABLES = {"C2": C2, "C3": C3, "C4": C4, "C2^2": C2_2, "S3": S3}
+
+
+def centre_specs():
+    """The wreaths of the five tables, and every rank-1 and rank-2 free
+    abelianized extension over them whose images generate."""
+    out = {f"wreath {name}": build_wreath(table) for name, table in CENTRE_TABLES.items()}
+    for name, table in CENTRE_TABLES.items():
+        for rank in (1, 2):
+            for images in product(range(len(table)), repeat=rank):
+                try:
+                    spec = build_free_abelianized_extension(
+                        FreeAbelExtInput.build(rank, table, images))
+                except GroupInputError:  # the images do not generate
+                    continue
+                out[f"freeabext {name} {images}"] = spec
+    return out
+
+
+CENTRE = {**BUILT, **centre_specs()}
 
 
 def p6_spec():
@@ -211,10 +240,24 @@ def test_ab_vector_is_homomorphism(name):
         assert lhs == rhs
 
 
-@pytest.mark.parametrize("name", sorted(SPECS))
+@pytest.mark.parametrize("name", sorted(CENTRE))
 def test_center_rank_matches_all_rows(name):
-    spec = BUILT[name]
+    spec = CENTRE[name]
     assert ExtensionGroup(spec, name=name).center_rank() == brute.center_rank(spec)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_center_rank_reads_the_abelianization(name, monkeypatch):
+    """Once G^ab is known, the centre rank needs no Smith elimination."""
+    G = ExtensionGroup(BUILT[name], name=name)
+    want = brute.center_rank(BUILT[name])
+    G.abelianization()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("center_rank ran a Smith elimination")
+
+    monkeypatch.setattr(intlin, "_smith_eliminate", refuse)
+    assert G.center_rank() == want
 
 
 def test_abelianization_row_count():

@@ -225,13 +225,13 @@ def test_witness_lengths_scale_with_index():
 POWER_WORD_CASES = [
     ("K:3,1,1", "x", "g", "g", 3),
     ("K:3,1,1", "x", "x", "x", 3),
-    ("K:3,1,1", "x*y", "x*y", "((x*y))", 3),
-    ("K:3,1,1", "x^2", "x^2", "(x^2)", 3),
+    ("K:3,1,1", "x*y", "x*y", "(x*y)", 3),
+    ("K:3,1,1", "x^2", "x^2", "x^2", 3),
     ("wreath_s3", "s1*s2", "g", "g", 3),
     ("wreath_s3", "s3", "s3", "s3", 3),
-    ("wreath_s3", "s1*s2", "s1*s2", "((s1*s2))", 3),
+    ("wreath_s3", "s1*s2", "s1*s2", "(s1*s2)", 3),
     ("promislow_x_klein", "x*x2", "g", "g", 2),
-    ("promislow_x_klein", "x*x2", "x*x2", "((x*x2))", 2),
+    ("promislow_x_klein", "x*x2", "x*x2", "(x*x2)", 2),
 ]
 
 
@@ -267,6 +267,20 @@ def test_witness_power_words(name, element, base, wrapped, n, monkeypatch):
         for i in range(1, n):
             pw = base if i == 1 else f"{wrapped}^{i}"
             assert cert.words[start + i] == (pw if rep == "1" else f"{pw}*{rep}")
+
+
+def test_power_words_of_a_deep_base_parse():
+    """A power word is its base and one more caret: on a base 99 carets
+    deep, every conjugator word parses and evaluates to its conjugator."""
+    G = build_K_group(3, 1, 1)
+    base = "x" + "^y" * 99
+    g = eval_word(G, parse_word(base))
+    cert = witness_construct(G, g, base_word=base)
+    check_cert(G, cert)
+    assert G.order_mod_translation(g) == 3
+    assert f"{base}^2" in cert.words
+    for word, x in zip(cert.words, cert.conjugators):
+        assert eval_word(G, parse_word(word)) == x
 
 
 # -- positive identities ---------------------------------------------------
@@ -436,6 +450,40 @@ def test_product_witness(promislow):
     cert = witness_construct(G, x, base_word="x")
     check_cert(G, cert)
     assert cert.length == G.translation_index() == 16
+
+
+PRODUCT_QUERIES = {
+    "decide": (lambda G, g: is_generalized_torsion(G, g), "abelianization"),
+    "exponent": (lambda G, g: gen_exponent_bounds(G), "abelianization"),
+    "witness": (lambda G, g: witness_construct(G, g), "abelianization"),
+    "torsion-free": (lambda G, g: G.is_torsion_free(), "is_torsion_free"),
+}
+
+
+@pytest.mark.parametrize("query", PRODUCT_QUERIES)
+def test_product_names_a_missing_factor_capability(promislow, query):
+    """P x Gamma: Gamma has no lattice capabilities, and each query says so."""
+    run, capability = PRODUCT_QUERIES[query]
+    G = DirectProductGroup(promislow, build_casolo_gamma())
+    with pytest.raises(BackendCapabilityError,
+                       match=f"'gamma' does not provide '{capability}'"):
+        run(G, gens(G)["x"])
+
+
+def test_product_with_a_sampled_only_factor_multiplies(promislow):
+    """P x Gamma keeps its element operations and sampled identities: P's
+    degree-4 identity in g^2, repeated, beside Gamma's degree-16 one."""
+    gamma = build_casolo_gamma()
+    G = DirectProductGroup(promislow, gamma)
+    rng = SplitMix64(5)
+    for _ in range(10):
+        g, h = (random_word_element(G, rng) for _ in range(2))
+        assert G.mul(G.mul(g, h), G.inv(h)) == g
+    k, left = positive_identity_witnesses(promislow)
+    _, right = positive_identity_witnesses(gamma)
+    conj = list(zip(left * (len(right) // len(left)), right))
+    assert verify_identity_sampled(G, k, conj, samples=5, seed=7)
+    assert not verify_identity_sampled(G, k, conj[1:], samples=5, seed=7)
 
 
 def test_capability_errors():

@@ -21,9 +21,10 @@ oracle's rank test decides.  A relator that collects to a wrong
 exponent is a theorem violation with or without ``-O``: the build raises,
 and no module of the package holds an ``assert``.  Residue powers taken
 in the cover and folded once agree with the group's ``pow`` on every
-group with N <= 64, every shift getter reads the rotated indices on all
-44 groups, and a queried group is freed on ``del`` with the cycle
-collector off.
+group with N <= 64, and on all 44 groups with the fold of x^{pa} y^{pb}
+that the torsion search makes without a product; every shift getter
+reads the rotated indices on all 44 groups, and a queried group is freed
+on ``del`` with the cycle collector off.
 """
 
 import ast
@@ -369,8 +370,8 @@ def test_shift_getters_read_the_rotated_indices():
 
 @pytest.mark.parametrize("pnm", groups_up_to(64), ids=group_id)
 def test_residue_power_in_the_cover_agrees_with_group_power(pnm):
-    """The torsion search powers each line residue in the cover and folds
-    once; the group's ``pow`` folds after every product."""
+    """Each line residue powered in the cover and folded once agrees with
+    the group's ``pow``, which folds after every product."""
     G = build_K(*pnm)
     z = G._zero
     cover = SimpleNamespace(identity=lambda: (0, 0, z), mul=G._raw_mul, inv=G._raw_inv)
@@ -378,10 +379,28 @@ def test_residue_power_in_the_cover_agrees_with_group_power(pnm):
         assert G._make(*power(cover, (a, b, z), G.p)) == line_power(G, a, b), (a, b)
 
 
+@pytest.mark.parametrize("pnm", groups_up_to(SIZE_CAP), ids=group_id)
+def test_residue_power_is_the_fold_of_its_exponents(pnm, monkeypatch):
+    """(x^a y^b)^p in the cover is x^{pa} y^{pb} up to a multiple of the
+    norm, so folding x^{pa} y^{pb} gives it; the torsion search then makes
+    no product, in the cover or in the group."""
+    G = build_K(*pnm)
+    cover, z = G._cover(), G._zero
+    for a, b in G._torsion_residues():
+        assert G._make(G.p * a, G.p * b, z) == G._make(*power(cover, (a, b, z), G.p)), (a, b)
+
+    def refuse(*args):
+        raise AssertionError("the torsion search made a product")
+
+    monkeypatch.setattr(metab, "power", refuse)
+    monkeypatch.setattr(MetabGroup, "_raw_mul", refuse)
+    assert G._find_torsion() is None
+
+
 @pytest.mark.parametrize("pnm", [(2, 1, 1), (3, 1, 1), (2, 4, 4)], ids=group_id)
 def test_queried_group_is_freed_without_the_cycle_collector(pnm):
-    """The build and the torsion search make their cover per call, so a
-    group holds no reference cycle and reference counting frees it."""
+    """The build makes its cover per call, so a group holds no reference
+    cycle and reference counting frees it."""
     enabled = gc.isenabled()
     gc.disable()
     try:

@@ -403,12 +403,12 @@ def test_coset_walk_needs_generators_for_every_coset():
 
 
 # (factory, owner, name of the counted call, torsion-free): extension groups
-# solve for witnesses, K decides torsion by multiplying
+# solve for witnesses, K decides torsion by folding residue powers
 TORSION_CACHE = {
     "promislow": (promislow, extgroup, "solve_integer_linear", True),
     "dinf": (lambda: ExtensionGroup(build_dihedral_infinite(), name="dinf"), extgroup,
              "solve_integer_linear", False),
-    "K:2,1,1": (lambda: build_K(2, 1, 1), metab.MetabGroup, "_raw_mul", True),
+    "K:2,1,1": (lambda: build_K(2, 1, 1), metab.MetabGroup, "_make", True),
 }
 
 
