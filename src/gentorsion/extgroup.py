@@ -38,7 +38,8 @@ phi(q).  That is O(w n^2) per pair, not O(n^3).
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
+from itertools import chain
 from math import lcm
 from operator import add, itemgetter, mul, neg
 
@@ -365,6 +366,8 @@ class ExtensionGroup:
         self._images = tuple((w[:spec.n], w[spec.n:]) for w in images)
         self._ab = None
         self._torsion = _UNSET
+        self._holonomy = None
+        self._phi_entries = None
 
     # -- element arithmetic -------------------------------------------------
 
@@ -409,7 +412,10 @@ class ExtensionGroup:
         return self.spec.q_size
 
     def holonomy_exponent(self) -> int:
-        return lcm(*(self.q_order(q) for q in range(self.spec.q_size)))
+        """exp(Q), the lcm of the point orders, computed on first use."""
+        if self._holonomy is None:
+            self._holonomy = lcm(*(self.q_order(q) for q in range(self.spec.q_size)))
+        return self._holonomy
 
     def transversal(self):
         """The zero section (q, 0), one per q; needs no generators."""
@@ -466,6 +472,45 @@ class ExtensionGroup:
 
     def verify_positive_identity_all(self, k: int, conjugators) -> bool:
         """True iff prod_j (g^k)^{x_j} = 1 for EVERY group element g.
+
+        Write x_j = (q_j, t_j).  Conjugating a translation (0, a) by x_j
+        gives (0, phi(q_j) a), and translations commute, so for h in the
+        lattice A the product of the conjugates of h is (0, S a) with
+        S = sum_j phi(q_j).  On A, (0, a)^k = (0, k a), so for k != 0 the
+        identity forces k S a = 0 for every a, that is S = 0.  When k is a
+        multiple of exp(Q) = exp(G/A), every g^k lies in A, and S = 0 is
+        also enough.  So there the identity holds exactly when the point
+        parts, counted with multiplicity, act as 0 on A (x) Q; neither
+        the order of the conjugators nor their lattice parts matter, and
+        no product is formed.  For k = 0 every g^0 = 1 and the identity
+        holds.  For any other k, S = 0 is only necessary: it rejects
+        early, and otherwise ``_identity_at_points`` decides.
+        """
+        if not k:
+            return True
+        conjugators = tuple(conjugators)
+        if not self._acts_as_zero(conjugators):
+            return False
+        if k % self.holonomy_exponent() == 0:
+            return True
+        return self._identity_at_points(k, conjugators)
+
+    def _acts_as_zero(self, conjugators) -> bool:
+        """True iff sum_j phi(q_j) = 0 over the conjugators' point parts.
+
+        Each phi(q) is read as its n^2 entries, row after row, and scaled
+        by the number of conjugators with point part q.
+        """
+        if self._phi_entries is None:
+            self._phi_entries = tuple(tuple(chain.from_iterable(_rows(m)))
+                                      for m in self.spec.phi)
+        entries = self._phi_entries
+        counts = Counter(x.q for x in conjugators)
+        scaled = (map(c.__mul__, entries[q]) for q, c in counts.items())
+        return not any(map(sum, zip(*scaled)))
+
+    def _identity_at_points(self, k: int, conjugators) -> bool:
+        """The identity decided by evaluation, for any k.
 
         Fix the point part q of g = (q, a).  Once point parts are fixed,
         the lattice part of a product, coc + phi a + a', is affine in the

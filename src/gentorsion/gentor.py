@@ -24,8 +24,15 @@ Backends are duck-typed; this is their whole contract.
   starting with the identity "1"; ``transversal()``, its elements; and
   ``order_mod_translation(g)``, the order of gA.  A backend may write its
   own ``transversal()`` when it has representatives without generators.
-* Optional: ``verify_positive_identity_all(k, conjugators)`` (exact
-  check over all of G); ``positive_identity()``, a (k, conjugators) pair
+* Optional: ``verify_positive_identity_all(k, conjugators)``, an exact
+  check that (g^k)^{x_1} ... (g^k)^{x_m} = 1 for every g.  When exp(G/A)
+  divides k, every g^k lies in A, where x^-1 a x depends on the coset of
+  x alone; so, A being torsion-free, the identity holds exactly when the
+  multiset of the conjugators' cosets acts as 0 on A (x) Q, whatever
+  their order and their lattice parts.  Extension groups test
+  sum_j phi(q_j) = 0, K that every coset occurs equally often, and
+  products ask both factors.  Also optional: ``positive_identity()``,
+  a (k, conjugators) pair
   with (g^k)^{x_1} ... (g^k)^{x_m} = 1 for every g, which
   ``positive_identity_witnesses`` returns in place of the transversal
   construction; ``is_torsion_free()``/``torsion_witness()``;
@@ -542,8 +549,8 @@ class DirectProductGroup:
     trailing "2" when they collide with the left factor's names.  The
     lattice capabilities and ``is_torsion_free`` work when both factors
     provide them and raise BackendCapabilityError, naming the capability
-    and the factor, when one does not.  Universal identity verification is
-    not exposed (use the extension-spec product for that).
+    and the factor, when one does not; so does
+    ``verify_positive_identity_all``, which asks both factors.
     """
 
     def __init__(self, left, right, name: str | None = None):
@@ -601,3 +608,16 @@ class DirectProductGroup:
 
     def is_torsion_free(self) -> bool:
         return all(f() for f in self._both("is_torsion_free"))
+
+    def verify_positive_identity_all(self, k: int, conjugators) -> bool:
+        """True iff prod_j (g^k)^{x_j} = 1 for EVERY element g = (g1, g2).
+
+        The product is formed componentwise, so it is 1 for every g
+        exactly when the left factor's identity holds on the left parts of
+        the conjugators and the right factor's on the right parts.  This
+        is exact for every k; each factor decides its own half.
+        """
+        left, right = self._both("verify_positive_identity_all")
+        conjugators = tuple(conjugators)
+        return (left(k, [x[0] for x in conjugators])
+                and right(k, [x[1] for x in conjugators]))

@@ -54,13 +54,13 @@ only representation of M.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from itertools import repeat
 from math import gcd, lcm
 from operator import add, itemgetter, neg, sub
 from types import SimpleNamespace
 
-from .errors import GroupInputError, TheoremViolationError
+from .errors import BackendCapabilityError, GroupInputError, TheoremViolationError
 from .gentor import (_UNSET, conjugate, labeled_transversal, order_mod_translation, power,
                      transversal)
 from .intlin import AbelianStructure, IntMatrix
@@ -379,6 +379,43 @@ class MetabGroup:
 
     def ab_vector(self, g: MetabElement) -> tuple:
         return (g.alpha, g.beta)
+
+    def verify_positive_identity_all(self, k: int, conjugators) -> bool:
+        """True iff prod_j (g^k)^{x_j} = 1 for EVERY group element g.
+
+        Let A = <x^{p^n}, y^{p^m}, M>, of index N with G/A = C_{p^n} x
+        C_{p^m}, and write the product of the conjugates of h in A
+        additively as r h, r the sum of the conjugators' cosets in
+        Z[G/A].  A / M is finite, so A (x) Q = M (x) Q = Q[C_{p^n} x
+        C_{p^m}] / Q norm, where the coset of x^a y^b acts as X^a Y^b.
+        That module is cyclic, generated by 1, so r kills it exactly when
+        r = r 1 is a rational multiple of the norm, the all-ones vector:
+        exactly when every one of the N cosets occurs equally often.
+
+        For k != 0 the evenness is necessary: on h in M, h^k = k h and
+        r (k h) = k (r h), nonzero for some h when r does not kill M, as
+        M is torsion-free.  When exp(G/A) = lcm(p^n, p^m) divides k, every
+        g^k lies in A, and evenness is enough: r then kills A (x) Q, and
+        so A, which embeds in it as A is torsion-free, since G is.  So
+        there the identity holds exactly when the cosets are even, and no
+        product is formed.  For k = 0 every g^0 = 1, and the empty product
+        is 1.  Any other k with even cosets raises BackendCapabilityError:
+        this backend evaluates no identity.
+        """
+        counts = Counter(map(self.coset, conjugators))
+        if not (k and counts):
+            return True
+        if len(counts) != self.N or len(set(counts.values())) != 1:
+            return False
+        if k % self.holonomy_exponent():
+            raise BackendCapabilityError(
+                f"{self.name} decides universal identities with even cosets only for k a "
+                f"multiple of exp(G/A) = {self.holonomy_exponent()}, got k = {k}")
+        if not self.is_torsion_free():
+            raise TheoremViolationError(
+                f"K({self.qn},{self.qm}) has torsion; the identity test needs a torsion-free group"
+            )
+        return True
 
     # -- torsion and center -------------------------------------------------
 

@@ -53,7 +53,9 @@ def symbolic_conj(G, sym, x: ExtElement):
 
 
 def symbolic_pow(G, q: int, k: int):
-    """(q, a)^k as (point part, N, c) with a formal."""
+    """(q, a)^k as (point part, N, c) with a formal, for k >= 0."""
+    if k < 0:
+        raise ValueError(f"symbolic_pow multiplies k >= 0 factors, got k = {k}")
     out = (0, IntMatrix.zeros(G.spec.n, G.spec.n), (0,) * G.spec.n)
     g = symbolic_element(G, q)
     for _ in range(k):

@@ -179,8 +179,7 @@ def test_identity_sampled_default_seed(capsys):
 
 
 def test_identity_sampled_backend_without_symbolic(capsys):
-    # the metab backend has no universal verifier, so the
-    # default mode falls back to sampling
+    # K is universal by default; --samples selects the sampled mode
     code, out, _ = invoke(capsys, "identity", "K:3,1,1", "--samples", "20")
     assert code == 0
     assert "inner_exponent=3 conjugators=9 degree=27" in out
@@ -202,7 +201,20 @@ def test_identity_gamma(capsys):
     assert "verify_positive_identity_all" in err
 
 
-@pytest.mark.parametrize("group", ["gamma", "K:3,1,1"])
+@pytest.mark.parametrize("group, header", [
+    ("K:3,1,1", "inner_exponent=3 conjugators=9 degree=27"),
+    ("K:2,1,1", "inner_exponent=2 conjugators=4 degree=8"),
+], ids=["K:3,1,1", "K:2,1,1"])
+def test_identity_universal_on_K(capsys, group, header):
+    # K proves its identity by counting the conjugators' cosets, with the
+    # flag and by default
+    for argv in ((group, "--universal"), (group,)):
+        code, out, _ = invoke(capsys, "identity", *argv)
+        assert code == 0
+        assert out.splitlines() == [header, "mode=universal", "verified=true"]
+
+
+@pytest.mark.parametrize("group", ["gamma"])
 def test_identity_universal_without_capability_prints_nothing(capsys, group):
     # the capability is checked before any output line
     code, out, err = invoke(capsys, "identity", group, "--universal")

@@ -318,8 +318,8 @@ def test_sampled_on_metab_backend():
     k, conj = positive_identity_witnesses(G)
     assert k == 2 and len(conj) == 4
     assert verify_identity_sampled(G, k, conj, samples=60, seed=20406)
-    with pytest.raises(BackendCapabilityError):
-        verify_identity_universal(G, k, conj)
+    assert verify_identity_universal(G, k, conj)
+    assert not verify_identity_universal(G, k, conj[:-1])
 
 
 def test_positive_identity_from_contract():
@@ -457,6 +457,8 @@ PRODUCT_QUERIES = {
     "exponent": (lambda G, g: gen_exponent_bounds(G), "abelianization"),
     "witness": (lambda G, g: witness_construct(G, g), "abelianization"),
     "torsion-free": (lambda G, g: G.is_torsion_free(), "is_torsion_free"),
+    "universal identity": (lambda G, g: verify_identity_universal(G, 2, [g]),
+                           "verify_positive_identity_all"),
 }
 
 
