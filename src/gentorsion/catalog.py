@@ -28,7 +28,7 @@ from .extgroup import (
     validate_extension,
 )
 from .gentor import conjugate, is_generalized_torsion, power
-from .intlin import _as_int
+from .intlin import IntMatrix, _as_int
 from .metab import MetabGroup, build_K
 
 
@@ -58,6 +58,9 @@ def build_K_group(p: int, n: int, m: int) -> MetabGroup:
     return build_K(p, n, m)
 
 
+WREATH_CAP = 128  # largest accepted |Q| for Z wr Q
+
+
 def build_wreath(q_table) -> ExtensionSpec:
     """Z wr Q for a finite group Q given by its multiplication table.
 
@@ -68,25 +71,38 @@ def build_wreath(q_table) -> ExtensionSpec:
 
     Only the table is checked here: the regular representation with a
     zero cocycle is a valid spec exactly when the table is a group table,
-    and ``ExtensionGroup`` validates the whole spec when it is built.
+    and ``ExtensionGroup`` validates the whole spec when it is built.  The
+    spec is formed from the checked ints directly, not through
+    ``ExtensionSpec.build``: row i of phi(q) is the unit row e_h with
+    h q = i, so the |Q| matrices share |Q| unit rows, and the factor set
+    is one shared zero vector.
+
+    Orders above ``WREATH_CAP`` are refused before the table check and
+    before any matrix is formed.  The lattice has rank |Q|, and the Smith
+    elimination of G^ab's n |S| lattice rows sets the cost of ``info``:
+    measured end to end, 1.3 s on C2^7 (order 128, |S| = 7), 0.8 s on
+    S5, and 7.6 s on C2^8 (order 256).
     """
-    table = [list(map(_as_int, row)) for row in q_table]
+    table = tuple(tuple(map(_as_int, row)) for row in q_table)
+    if len(table) > WREATH_CAP:
+        raise GroupInputError(
+            f"wreath point group of order {len(table)} exceeds the size cap {WREATH_CAP}")
     failures = point_table_failures(table)
     if failures:
         raise GroupInputError("invalid multiplication table: " + "; ".join(failures[:3]))
     n = len(table)
+    zero = (0,) * n
+    units = tuple(zero[:h] + (1,) + zero[h + 1:] for h in range(n))
     phi = []
     for q in range(n):
-        mat = [[0] * n for _ in range(n)]
+        rows = [None] * n
         for h in range(n):
-            mat[table[h][q]][h] = 1
-        phi.append(mat)
-    zero = [0] * n
-    coc = [[list(zero) for _ in range(n)] for _ in range(n)]
-    generators = [("t", (0, [int(h == 0) for h in range(n)]))]
-    for q in range(1, n):
-        generators.append((f"s{q}", (q, list(zero))))
-    return ExtensionSpec.build(table, phi, coc, generators)
+            rows[table[h][q]] = units[h]
+        phi.append(IntMatrix._of(rows, n))
+    coc = ((zero,) * n,) * n
+    generators = (("t", ExtElement(0, units[0])),)
+    generators += tuple((f"s{q}", ExtElement(q, zero)) for q in range(1, n))
+    return ExtensionSpec(n, table, n, tuple(phi), coc, generators)
 
 
 class FreeAbelExtInput(namedtuple("FreeAbelExtInput", "rank q_table images")):

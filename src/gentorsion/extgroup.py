@@ -30,16 +30,18 @@ permutation, as every phi of dinf, klein, promislow and Z wr Q is, is
 one layer; a dense phi is n layers.  A product is coc(q, q') + a' plus
 one vector pass per layer of phi(q'), and an inverse the same on q^-1,
 negated once.  ``validate_extension`` applies phi(s) through the same
-layers (``_act``, start + phi(s) v): to a factor-set vector for the
-cocycle identity, and to each column of phi(q) for the anti-homomorphism,
-since column j of phi(q s) = phi(s) phi(q) is phi(s) times column j of
-phi(q).  That is O(w n^2) per pair, not O(n^3).
+layers: to each distinct factor-set vector once (``_act``, start +
+phi(s) v) for the cocycle identity, and to the rows of phi(q) for the
+anti-homomorphism, since row i of phi(q s) = phi(s) phi(q) is
+sum_t co_t[i] times row idx_t[i] of phi(q), one gather of rows per
+layer.  That is O(w n^2) per pair, not O(n^3).  A spec that passes
+takes no determinant: its phi are unimodular by the anti-homomorphism
+check itself (see ``validate_extension``).
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from itertools import chain
 from math import lcm
 from operator import add, itemgetter, mul, neg
 
@@ -150,13 +152,19 @@ def point_table_failures(table, firsts=()) -> tuple:
     first, as in ``point_generating_set``) and that every index has an
     inverse.  A shape or range failure is reported alone.
     """
+    return _point_table_check(table, firsts)[0]
+
+
+def _point_table_check(table, firsts) -> tuple:
+    """(``point_table_failures``, S): S is () when a shape or range check
+    fails, and is found once for both Light's test and its caller."""
     qs = len(table)
     if qs == 0:
-        return ("q_table is empty; index 0 must be the identity",)
+        return ("q_table is empty; index 0 must be the identity",), ()
     if any(len(row) != qs for row in table):
-        return (f"q_table must be {qs}x{qs}",)
+        return (f"q_table must be {qs}x{qs}",), ()
     if any(not (0 <= x < qs) for row in table for x in row):
-        return ("q_table entries out of range",)
+        return ("q_table entries out of range",), ()
     bad = []
     for q in range(qs):
         if table[0][q] != q or table[q][0] != q:
@@ -172,7 +180,7 @@ def point_table_failures(table, firsts=()) -> tuple:
     for q in range(qs):
         if all(table[q][r] != 0 for r in range(qs)):
             bad.append(f"no inverse for q={q}")
-    return tuple(bad)
+    return tuple(bad), gens
 
 
 def validate_extension(spec: ExtensionSpec) -> ValidationReport:
@@ -192,48 +200,49 @@ def validate_extension(spec: ExtensionSpec) -> ValidationReport:
     when phi(r s) = phi(s) phi(r) for every r and the cocycle identity
     holds at (q, r, s) for every q and r.  So the anti-homomorphism and
     cocycle checks run over s in S only, and accept exactly the specs the
-    checks over all triples accept.  Each phi(s) is split into its w gather
-    layers once (see the module docstring), and both checks apply it
-    through them with ``_act``: the cocycle check to coc(q, r), the
-    anti-homomorphism check to each column of phi(q), which it compares
-    with the same column of phi(q s).  So the cocycle check costs
-    O(|Q|^2 |S| w n) and the anti-homomorphism check O(|Q| |S| w n^2),
-    where the checks over all triples with dense products cost
-    O(|Q|^3 n^2) and O(|Q|^2 n^3).  Failure lines name only checked
+    checks over all triples accept.  Failure lines name only checked
     triples and pairs, those whose last index is in S.  The identity,
     inverse, shape and normalization checks run over all of Q.  The table
-    checks are ``point_table_failures``; the rest run only once the table
-    passes.
+    checks are ``point_table_failures``, which finds S once for both; the
+    rest run only once the table passes.
+
+    No determinant is taken on a spec that passes.  Once the table is a
+    group, phi(0) = I and phi(q s) = phi(s) phi(q) for every q and s in S
+    give phi(s)^k = phi(s^k) = I for k the order of s, so det phi(s) = +-1,
+    and every phi(q) is a product of the phi(s).  Only when the phi(0) or
+    anti-homomorphism check fails is ``IntMatrix.det`` run on every phi(q);
+    a determinant other than +-1 is then reported in place of those lines.
+
+    Each phi(s) is split into its w gather layers once (see the module
+    docstring).  Row i of phi(s) phi(q) is sum_t co_t[i] times row
+    idx_t[i] of phi(q), so the anti-homomorphism check gathers the rows
+    of phi(q) once per layer and compares them with the rows of phi(q s):
+    O(|Q| |S| w n^2), against O(|Q|^2 n^3) for dense products over all
+    pairs.  The cocycle check interns the factor-set vectors to ids, applies
+    each phi(s) once per distinct vector, and memoises the sum of two ids,
+    so a triple costs a few dict lookups: O(|Q|^2 |S|) lookups plus
+    O(w n) per distinct vector, sum or image, where the check over all
+    triples costs O(|Q|^3 n^2).
     """
     qs, table = spec.q_size, spec.q_table
     if len(table) != qs:
         return ValidationReport((f"q_table must be {qs}x{qs}",))
-    firsts = [g.q for _, g in spec.generator_names]
-    failures = point_table_failures(table, firsts)
+    failures, gens = _point_table_check(table, [g.q for _, g in spec.generator_names])
     if failures:
         return ValidationReport(failures)
-    gens = _generating_points(table, firsts)
     bad = []
     n = spec.n
     zero = (0,) * n
     phi = spec.phi
     if len(phi) != qs:
         bad.append("phi must assign one matrix per point-group index")
+    elif any(m.rows != n or m.cols != n for m in phi):
+        bad = _matrix_failures(phi, n)
     else:
-        for q, m in enumerate(phi):
-            if m.rows != n or m.cols != n:
-                bad.append(f"phi({q}) is not {n}x{n}")
-            elif abs(m.det()) != 1:
-                bad.append(f"phi({q}) is not invertible over the integers")
-        if not bad:
-            if phi[0] != IntMatrix.identity(n):
-                bad.append("phi(0) must be the identity matrix")
-            acts = [(s, _layers(phi[s])) for s in gens]
-            cols = [tuple(zip(*_rows(m))) for m in phi]
-            for q in range(qs):
-                for s, layers in acts:
-                    if cols[table[q][s]] != tuple(_act(layers, c, zero) for c in cols[q]):
-                        bad.append(f"phi is not an anti-homomorphism at ({q},{s})")
+        acts = [(s, _layers(phi[s])) for s in gens]
+        found = _phi_failures(phi, table, acts, n)
+        if found:  # only now may some phi(q) be singular
+            bad = _matrix_failures(phi, n) or found
     coc = spec.coc
     if len(coc) != qs or any(len(row) != qs for row in coc):
         bad.append(f"coc must be a {qs}x{qs} array of vectors")
@@ -246,20 +255,76 @@ def validate_extension(spec: ExtensionSpec) -> ValidationReport:
             for q in range(qs):
                 if coc[0][q] != zero or coc[q][0] != zero:
                     bad.append(f"factor set is not normalized at q={q}")
-            for q in range(qs):
-                row = table[q]
-                for r in range(qs):
-                    left, right, v = coc[row[r]], table[r], coc[q][r]
-                    for s, layers in acts:
-                        want = tuple(map(add, coc[q][right[s]], coc[r][s]))
-                        if _act(layers, v, left[s]) != want:
-                            bad.append(f"cocycle identity fails at ({q},{r},{s})")
+            bad.extend(_cocycle_failures(coc, table, acts, zero))
     for name, g in spec.generator_names:
         if not (0 <= g.q < qs):
             bad.append(f"generator {name}: point index out of range")
         if len(g.a) != n:
             bad.append(f"generator {name}: vector has wrong length")
     return ValidationReport(tuple(bad))
+
+
+def _matrix_failures(phi, n) -> list:
+    """A line for each phi(q) that is not n x n, or not unimodular."""
+    bad = []
+    for q, m in enumerate(phi):
+        if m.rows != n or m.cols != n:
+            bad.append(f"phi({q}) is not {n}x{n}")
+        elif abs(m.det()) != 1:
+            bad.append(f"phi({q}) is not invertible over the integers")
+    return bad
+
+
+def _phi_failures(phi, table, acts, n) -> list:
+    """The phi(0) = I and anti-homomorphism lines: phi(q s) = phi(s) phi(q)
+    row by row, layer t of phi(s) gathering the rows idx_t of phi(q)."""
+    bad = []
+    if phi[0] != IntMatrix.identity(n):
+        bad.append("phi(0) must be the identity matrix")
+    rows = [_rows(m) for m in phi]
+    for q, mq in enumerate(rows):
+        for s, layers in acts:
+            if rows[table[q][s]] != _act_rows(layers, mq, n):
+                bad.append(f"phi is not an anti-homomorphism at ({q},{s})")
+    return bad
+
+
+def _cocycle_failures(coc, table, acts, zero) -> list:
+    """The cocycle identity phi(s) coc(q, r) + coc(q r, s) =
+    coc(q, r s) + coc(r, s) at every (q, r) and s in ``acts``, on ids.
+
+    Every vector, given or formed, gets one id, so equal vectors compare
+    as equal ids; the sum of two ids is formed once per unordered pair.
+    """
+    ids = {}
+    vecs = []
+
+    def intern(v):
+        k = ids.setdefault(v, len(vecs))
+        if k == len(vecs):
+            vecs.append(v)
+        return k
+
+    cid = [[intern(v) for v in row] for row in coc]
+    given = vecs[:]
+    moved = [[intern(_act(layers, v, zero)) for v in given] for _, layers in acts]
+    sums = {}
+
+    def plus(i, j):
+        k = sums.get((i, j))
+        if k is None:
+            k = sums[i, j] = sums[j, i] = intern(tuple(map(add, vecs[i], vecs[j])))
+        return k
+
+    bad = []
+    for q in range(len(table)):
+        row, cq = table[q], cid[q]
+        for r in range(len(table)):
+            left, right, v, cr = cid[row[r]], table[r], cq[r], cid[r]
+            for (s, _), image in zip(acts, moved):
+                if plus(image[v], left[s]) != plus(cq[right[s]], cr[s]):
+                    bad.append(f"cocycle identity fails at ({q},{r},{s})")
+    return bad
 
 
 def _rows(m: IntMatrix) -> tuple:
@@ -290,6 +355,20 @@ def _act(layers, v, start) -> tuple:
     for get, co in layers:
         start = map(add, start, map(mul, co, get(v)))
     return tuple(start)
+
+
+def _act_rows(layers, rows, n) -> tuple:
+    """The rows of m M, for the n x n matrix m whose gather layers are
+    ``layers`` and the n x n matrix M whose rows are ``rows``.
+
+    Row i is sum_t co_t[i] times row idx_t[i] of M, so each layer is one
+    gather of M's rows; a coefficient 1 keeps the gathered row as it is.
+    """
+    out = ((0,) * n,) * n
+    for t, (get, co) in enumerate(layers):
+        part = [r if c == 1 else tuple(map(c.__mul__, r)) for c, r in zip(co, get(rows))]
+        out = tuple(part) if t == 0 else tuple([tuple(map(add, u, v)) for u, v in zip(out, part)])
+    return out
 
 
 def _gather(idx: tuple) -> itemgetter:
@@ -367,7 +446,6 @@ class ExtensionGroup:
         self._ab = None
         self._torsion = _UNSET
         self._holonomy = None
-        self._phi_entries = None
 
     # -- element arithmetic -------------------------------------------------
 
@@ -498,16 +576,20 @@ class ExtensionGroup:
     def _acts_as_zero(self, conjugators) -> bool:
         """True iff sum_j phi(q_j) = 0 over the conjugators' point parts.
 
-        Each phi(q) is read as its n^2 entries, row after row, and scaled
-        by the number of conjugators with point part q.
+        With c_q the number of conjugators with point part q, the sum is
+        accumulated through the stored gather layers: layer t of phi(q)
+        adds c_q co_t[i] at entry (i, idx_t[i]), idx_t read back by
+        gathering from range(n).  Padding adds 0, and entries no layer
+        touches stay 0.
         """
-        if self._phi_entries is None:
-            self._phi_entries = tuple(tuple(chain.from_iterable(_rows(m)))
-                                      for m in self.spec.phi)
-        entries = self._phi_entries
-        counts = Counter(x.q for x in conjugators)
-        scaled = (map(c.__mul__, entries[q]) for q, c in counts.items())
-        return not any(map(sum, zip(*scaled)))
+        n = self.spec.n
+        cols, starts = range(n), range(0, n * n, n or 1)  # entry (i, j) is key i n + j
+        acc = {}
+        for q, c in Counter(x.q for x in conjugators).items():
+            for get, co in self._layers[q]:
+                for k, x in zip(map(add, starts, get(cols)), co):
+                    acc[k] = acc.get(k, 0) + c * x
+        return not any(acc.values())
 
     def _identity_at_points(self, k: int, conjugators) -> bool:
         """The identity decided by evaluation, for any k.
@@ -532,43 +614,29 @@ def _basis(n: int) -> list:
 
 
 def direct_product(spec1: ExtensionSpec, spec2: ExtensionSpec) -> ExtensionSpec:
-    """Spec of G1 x G2: Q = Q1 x Q2, block phi, concatenated factor set."""
+    """Spec of G1 x G2: Q = Q1 x Q2, block phi, concatenated factor set.
+
+    The spec is formed from the two specs' ints directly, not through
+    ``ExtensionSpec.build``; equal factor-set vectors are stored once, so a
+    zero factor set is one shared zero vector.
+    """
     q1, q2 = spec1.q_size, spec2.q_size
     n1, n2 = spec1.n, spec2.n
-    qs = q1 * q2
-
-    def pack(i, j):
-        return i * q2 + j
-
-    table = [[0] * qs for _ in range(qs)]
-    for i in range(q1):
-        for j in range(q2):
-            for k in range(q1):
-                for l in range(q2):
-                    table[pack(i, j)][pack(k, l)] = pack(spec1.q_table[i][k], spec2.q_table[j][l])
-    phi = []
-    for i in range(q1):
-        for j in range(q2):
-            m1, m2 = spec1.phi[i], spec2.phi[j]
-            block = [[0] * (n1 + n2) for _ in range(n1 + n2)]
-            for r in range(n1):
-                for c in range(n1):
-                    block[r][c] = m1[r, c]
-            for r in range(n2):
-                for c in range(n2):
-                    block[n1 + r][n1 + c] = m2[r, c]
-            phi.append(block)
-    coc = [[None] * qs for _ in range(qs)]
-    for i in range(q1):
-        for j in range(q2):
-            for k in range(q1):
-                for l in range(q2):
-                    coc[pack(i, j)][pack(k, l)] = tuple(spec1.coc[i][k]) + tuple(spec2.coc[j][l])
+    t1, t2 = spec1.q_table, spec2.q_table
+    table = tuple(tuple(x * q2 + y for x in t1[i] for y in t2[j])
+                  for i in range(q1) for j in range(q2))
+    pad1, pad2 = (0,) * n1, (0,) * n2
+    phi = tuple(IntMatrix._of([row + pad2 for row in _rows(m1)] + [pad1 + row for row in _rows(m2)],
+                              n1 + n2)
+                for m1 in spec1.phi for m2 in spec2.phi)
+    seen = {}
+    coc = tuple(tuple(seen.setdefault(v, v) for u in c1 for v in map(u.__add__, c2))
+                for c1 in spec1.coc for c2 in spec2.coc)
     taken = {name for name, _ in spec1.generator_names}
-    gens = [(name, (pack(g.q, 0), tuple(g.a) + (0,) * n2)) for name, g in spec1.generator_names]
-    gens += [(_free_name(name, taken), (pack(0, g.q), (0,) * n1 + tuple(g.a)))
-             for name, g in spec2.generator_names]
-    return ExtensionSpec.build(table, phi, coc, gens)
+    gens = tuple((name, ExtElement(g.q * q2, g.a + pad2)) for name, g in spec1.generator_names)
+    gens += tuple((_free_name(name, taken), ExtElement(g.q, pad1 + g.a))
+                  for name, g in spec2.generator_names)
+    return ExtensionSpec(q1 * q2, table, n1 + n2, phi, coc, gens)
 
 
 def spec_to_dict(spec: ExtensionSpec) -> dict:

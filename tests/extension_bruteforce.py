@@ -12,13 +12,20 @@ the product and inverse formulas of ``gentorsion.extgroup`` evaluated with
 ``IntMatrix.mat_vec`` and vector addition, reading the spec directly, where
 ``ExtensionGroup`` multiplies on the rows and inverses it stores at build.
 
+``conjugated`` rewrites a spec in a new lattice basis, a -> U a for a
+unimodular U (``seeded_unimodular``): phi(q) -> U phi(q) U^-1 and
+coc -> U coc.  It presents the same group, with phi that are no longer
+signed permutations.
+
 The library checks and relates on a generating set of Q only, so the tests
 compare it against these.  They share no code with the library beyond the
 spec and report types and ``IntMatrix``.  The checks cost |Q|^3; keep them
 to |Q| <= 16.
 """
 
-from gentorsion.extgroup import ExtElement, ValidationReport
+import random
+
+from gentorsion.extgroup import ExtElement, ExtensionSpec, ValidationReport
 from gentorsion.intlin import IntMatrix, cokernel_structure
 
 
@@ -139,3 +146,27 @@ def center_rank(spec) -> int:
     ident = IntMatrix.identity(spec.n)
     rows = [row for q in range(1, spec.q_size) for row in (spec.phi[q] - ident).to_lists()]
     return cokernel_structure(IntMatrix(rows, cols=spec.n)).free_rank
+
+
+def seeded_unimodular(n, seed) -> IntMatrix:
+    """An n x n unimodular matrix: 3n row operations row_i += c row_j
+    (i != j, c in {-2, -1, 1, 2}) on the identity, then one row negated,
+    all drawn from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    if n:
+        k = rng.randrange(n)
+        rows[k] = [-x for x in rows[k]]
+    return IntMatrix(rows, cols=n)
+
+
+def conjugated(spec, u, u_inv):
+    """The spec in the lattice basis a -> u a; u_inv is u's inverse."""
+    phi = [u @ m @ u_inv for m in spec.phi]
+    coc = [[u.mat_vec(v) for v in row] for row in spec.coc]
+    gens = [(name, (g.q, u.mat_vec(g.a))) for name, g in spec.generator_names]
+    return ExtensionSpec.build(spec.q_table, phi, coc, gens)

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from gentorsion import catalog
 from gentorsion.cli import DEFAULT_SEED, resolve_group, run
 from gentorsion.extgroup import ExtElement, spec_to_dict
 from gentorsion.catalog import build_dihedral_infinite, build_promislow
@@ -487,6 +488,18 @@ def test_oversized_input_is_refused_quickly(capsys, argv):
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
     assert len(err) < 120
+
+
+def test_over_cap_wreath_is_refused_quickly(tmp_path, capsys):
+    """A wreath table above ``WREATH_CAP`` exits 2 before any matrix is formed."""
+    size = catalog.WREATH_CAP + 1
+    path = tmp_path / "cyclic.json"
+    path.write_text(json.dumps([[(i + j) % size for j in range(size)] for i in range(size)]))
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "info", f"wreath:{path}")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == f"error: wreath point group of order {size} exceeds the size cap {size - 1}\n"
 
 
 def test_large_power_in_gamma(capsys):

@@ -23,12 +23,23 @@ and inverse formulas give through ``IntMatrix.mat_vec``
 (``brute.formula_mul``/``formula_inv``) on every spec above, on
 promislow^3, on a finite C2 spec with n = 0 and on a p6 group whose rows
 are not signed permutations.  The phi of the named catalog groups are
-one layer each and p6's take two.  Both structural checks apply phi(s)
-through its layers with ``_act``; the anti-homomorphism check applies it
-to the columns of phi(q), which must give the columns of ``@`` on every
-pair of phi, and corrupting p6 runs that check with two layers.
+one layer each and p6's take two.  The cocycle check applies phi(s)
+through its layers with ``_act``; the anti-homomorphism check gathers
+the rows of phi(q) through them with ``_act_rows``, which must give the
+rows of ``@`` on every pair of phi.  Corrupting p6, freeabext C3 and
+promislow in a dense basis (``brute.conjugated``, up to three layers)
+runs that check with several layers.
+
+A valid spec takes no determinant and finds S once; a zero phi(q), the
+n = 0 spec and the 14 distinct factor-set vectors of freeabext S3 are
+judged as the full checks judge them.  ``build_wreath`` and
+``direct_product`` build from checked ints, and must give the specs
+``ExtensionSpec.build`` gives on the same lists.  A seeded change of
+lattice basis leaves validation and every ``info`` answer unchanged.
+A wreath table above ``WREATH_CAP`` is refused before its table check.
 """
 
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -42,6 +53,7 @@ from gentorsion.catalog import (
     build_promislow,
     build_wreath,
 )
+from gentorsion import catalog, extgroup, gentor
 from gentorsion.errors import GroupInputError
 from gentorsion.extgroup import (
     ExtElement,
@@ -54,11 +66,12 @@ from gentorsion.extgroup import (
     spec_to_dict,
     validate_extension,
     _act,
+    _act_rows,
     _layers,
 )
 from gentorsion import intlin
 from gentorsion.gentor import SplitMix64, random_word_element
-from gentorsion.intlin import IntMatrix, cokernel_structure
+from gentorsion.intlin import IntMatrix, cokernel_structure, unimodular_inverse
 
 import extension_bruteforce as brute
 
@@ -135,6 +148,16 @@ def finite_c2_spec():
 
 
 P6 = p6_spec()
+
+
+def dense_spec(spec, seed):
+    """``spec`` in the lattice basis of ``brute.seeded_unimodular(n, seed)``."""
+    u = brute.seeded_unimodular(spec.n, seed)
+    return brute.conjugated(spec, u, unimodular_inverse(u))
+
+
+# promislow in a basis where its phi take one to three layers
+DENSE = dense_spec(BUILT["promislow"], 0)
 
 
 def reaches_all(table, gens) -> bool:
@@ -278,6 +301,8 @@ def test_abelianization_row_count():
 CORRUPTIBLE = {name: BUILT[name] for name in ("dinf", "klein", "promislow", "wreath C3",
                                                "wreath S3", "promislow x klein")}
 CORRUPTIBLE["p6"] = P6
+CORRUPTIBLE["freeabext C3"] = BUILT["freeabext C3"]
+CORRUPTIBLE["promislow dense"] = DENSE
 corrupt_settings = settings(derandomize=True, deadline=None, max_examples=150)
 
 
@@ -389,6 +414,184 @@ def test_freeabext_table_check_agrees_with_full_checks(table, images):
     assert rejected == n * n * (n - 1)
 
 
+# -- validation cost and its edge cases ------------------------------------
+
+
+def elementary_abelian(k):
+    return [[i ^ j for j in range(1 << k)] for i in range(1 << k)]
+
+
+COUNTED = {**BUILT, "wreath C2^5": build_wreath(elementary_abelian(5)), "p6": P6,
+           "promislow dense": DENSE, "finite C2": finite_c2_spec()}
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of ``IntMatrix.det`` and ``_generating_points`` calls."""
+    counts = Counter()
+    det, points = IntMatrix.det, extgroup._generating_points
+
+    def counting_det(self):
+        counts["det"] += 1
+        return det(self)
+
+    def counting_points(*args):
+        counts["points"] += 1
+        return points(*args)
+
+    monkeypatch.setattr(IntMatrix, "det", counting_det)
+    monkeypatch.setattr(extgroup, "_generating_points", counting_points)
+    return counts
+
+
+@pytest.mark.parametrize("name", sorted(COUNTED))
+def test_valid_spec_takes_no_determinant(name, calls):
+    """The catalog specs, those of the benchmark (the seven extension
+    groups, and promislow x klein for the CLI) and Z wr C2^5 pass with no
+    determinant, and S is found once for the table and phi checks."""
+    assert validate_extension(COUNTED[name]).ok
+    assert calls == {"points": 1}
+
+
+def test_failing_phi_check_takes_every_determinant(calls):
+    spec = ExtensionSpec.build(C2, [[[1, 0], [0, 1]], [[2, 0], [0, 1]]],
+                               [[(0, 0)] * 2 for _ in range(2)], [("x", (1, (0, 0)))])
+    assert validate_extension(spec).failures == ("phi(1) is not invertible over the integers",)
+    assert calls == {"points": 1, "det": 2}
+
+
+@pytest.mark.parametrize("name", ["klein", "promislow", "wreath S3", "p6", "promislow dense"])
+def test_zero_phi_matches_full_checks(name):
+    """A zero phi(q) is singular; with q in S it has no layers at all."""
+    spec = COUNTED[name]
+    for q in range(spec.q_size):
+        data = spec_to_dict(spec)
+        data["phi"][q] = [[0] * spec.n for _ in range(spec.n)]
+        broken = spec_from_dict(data)
+        got, want = validate_extension(broken), brute.validate_extension(broken)
+        assert not got.ok
+        assert list(got.failures) == checked_lines(broken, want.failures)
+    assert _layers(IntMatrix.zeros(spec.n, spec.n)) == ()
+
+
+def test_finite_spec_without_lattice():
+    """n = 0: every phi is 0 x 0 and every vector empty."""
+    spec = finite_c2_spec()
+    assert validate_extension(spec).ok and brute.validate_extension(spec).ok
+    G = ExtensionGroup(spec)
+    assert G._acts_as_zero(G.transversal())
+    data = spec_to_dict(spec)
+    data["q_table"][1][1] = 1
+    broken = spec_from_dict(data)
+    assert validate_extension(broken).failures == \
+        tuple(checked_lines(broken, brute.validate_extension(broken).failures))
+
+
+def test_many_distinct_factor_set_vectors():
+    """freeabext over S3 has a factor set of 14 distinct vectors, more than
+    |Q|; every single-entry change of it is judged as the full checks
+    judge it."""
+    spec = BUILT["freeabext S3"]
+    assert len({v for row in spec.coc for v in row}) == 14
+    for q in range(spec.q_size):
+        for r in range(spec.q_size):
+            data = spec_to_dict(spec)
+            data["coc"][q][r][(q + r) % spec.n] += 1
+            broken = spec_from_dict(data)
+            want = brute.validate_extension(broken)
+            assert list(validate_extension(broken).failures) == checked_lines(broken, want.failures)
+
+
+# -- builders from checked ints ---------------------------------------------
+
+BUILDER_TABLES = {"C2": C2, "C3": C3, "S3": S3, "C2^3": elementary_abelian(3)}
+
+
+def assert_same_fields(got, want):
+    assert type(got) is type(want)
+    for field, x, y in zip(want._fields, got, want):
+        assert x == y, field
+
+
+@pytest.mark.parametrize("name", sorted(BUILDER_TABLES))
+def test_wreath_equals_spec_built_from_lists(name):
+    table = BUILDER_TABLES[name]
+    spec = build_wreath(table)
+    assert_same_fields(spec, regular_spec(table))
+    assert all(type(row) is tuple for m in spec.phi for row in map(m.row, range(m.rows)))
+
+
+def product_lists(spec1, spec2):
+    """G1 x G2 as plain lists, index (i, j) at i |Q2| + j."""
+    q2, n1, n2 = spec2.q_size, spec1.n, spec2.n
+    pairs = [(i, j) for i in range(spec1.q_size) for j in range(q2)]
+    table = [[spec1.q_table[i][k] * q2 + spec2.q_table[j][l] for k, l in pairs] for i, j in pairs]
+    phi = [[list(r) + [0] * n2 for r in spec1.phi[i].to_lists()]
+           + [[0] * n1 + list(r) for r in spec2.phi[j].to_lists()] for i, j in pairs]
+    coc = [[list(spec1.coc[i][k]) + list(spec2.coc[j][l]) for k, l in pairs] for i, j in pairs]
+    names = [name for name, _ in spec1.generator_names]
+    gens = [(name, (g.q * q2, list(g.a) + [0] * n2)) for name, g in spec1.generator_names]
+    for name, g in spec2.generator_names:
+        while name in names:
+            name += "2"
+        names.append(name)
+        gens.append((name, (g.q, [0] * n1 + list(g.a))))
+    return ExtensionSpec.build(table, phi, coc, gens)
+
+
+@pytest.mark.parametrize("name", sorted(BUILDER_TABLES))
+def test_direct_product_equals_spec_built_from_lists(name):
+    wreath = build_wreath(BUILDER_TABLES[name])
+    for pair in ((wreath, build_klein_bottle()), (build_promislow(), wreath), (wreath, wreath)):
+        assert_same_fields(direct_product(*pair), product_lists(*pair))
+    spec = direct_product(wreath, wreath)
+    assert len({id(v) for row in spec.coc for v in row}) == 1
+
+
+# -- a lattice basis change keeps every answer -----------------------------
+
+
+def info(spec):
+    """G^ab, torsion, centre rank and the exponent bracket."""
+    G = ExtensionGroup(spec)
+    ab = G.abelianization()
+    bounds = gentor.gen_exponent_bounds(G) if ab.is_finite else None
+    return ab.invariant_factors, ab.free_rank, G.is_torsion_free(), G.center_rank(), bounds
+
+
+INFO = {name: info(spec) for name, spec in BUILT.items()}
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.sampled_from(sorted(BUILT)), st.integers(0, 2**32))
+def test_basis_change_keeps_validation_and_info(name, seed):
+    """phi -> U phi U^-1, coc -> U coc and a -> U a present the same group:
+    the spec passes, as the full checks say, and its info is unchanged."""
+    spec = dense_spec(BUILT[name], seed)
+    assert validate_extension(spec).ok and brute.validate_extension(spec).ok
+    assert info(spec) == INFO[name]
+
+
+# -- the wreath size cap -----------------------------------------------------
+
+
+def test_wreath_cap_refuses_before_building(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the table was checked")
+
+    monkeypatch.setattr(catalog, "point_table_failures", refuse)
+    cyclic = [[(i + j) % (catalog.WREATH_CAP + 1) for j in range(catalog.WREATH_CAP + 1)]
+              for i in range(catalog.WREATH_CAP + 1)]
+    with pytest.raises(GroupInputError, match="size cap"):
+        build_wreath(cyclic)
+
+
+def test_wreath_at_the_cap_builds():
+    size = catalog.WREATH_CAP
+    spec = build_wreath([[(i + j) % size for j in range(size)] for i in range(size)])
+    assert spec.n == size and validate_extension(spec).ok
+
+
 # -- element arithmetic on gather layers -----------------------------------
 
 
@@ -396,6 +599,7 @@ ARITHMETIC = {
     **BUILT,
     "promislow^3": direct_product(BUILT["promislow x promislow"], build_promislow()),
     "p6": P6,
+    "promislow dense": DENSE,
     "finite C2": finite_c2_spec(),
 }
 GROUPS = {name: ExtensionGroup(spec, name=name) for name, spec in ARITHMETIC.items()}
@@ -412,23 +616,27 @@ def test_layer_count(name):
     """The phi of dinf, klein, promislow, the wreath products and their
     direct products are signed permutations, one layer each.  p6's
     rotations take two, the free abelianized extensions' phi up to three,
-    and the n = 0 spec's none."""
+    as do promislow's in the dense basis, and the n = 0 spec's none."""
     widths = {len(layers) for layers in GROUPS[name]._layers}
-    dense = {"p6": {1, 2}, "freeabext C3": {1, 3}, "freeabext S3": {1, 3}, "finite C2": {0}}
+    dense = {"p6": {1, 2}, "freeabext C3": {1, 3}, "freeabext S3": {1, 3}, "finite C2": {0},
+             "promislow dense": {1, 2, 3}}
     assert widths == dense.get(name, {1})
 
 
 @pytest.mark.parametrize("name", sorted(ARITHMETIC))
 def test_layered_product_is_matrix_product(name):
-    """The anti-homomorphism check's columns of phi(s) phi(q), each
-    phi(s) applied to a column of phi(q) through its layers by ``_act``,
-    are those of ``@`` for every pair; from a nonzero start, ``_act``
-    adds the start."""
+    """The anti-homomorphism check's rows of phi(s) phi(q), gathered from
+    the rows of phi(q) through the layers of phi(s) by ``_act_rows``, are
+    those of ``@`` for every pair, and so are the columns when ``_act``
+    applies phi(s) to each column of phi(q); from a nonzero start,
+    ``_act`` adds the start."""
     spec = ARITHMETIC[name]
     zero = (0,) * spec.n
     for a in spec.phi:
         layers = _layers(a)
         for b in spec.phi:
+            assert _act_rows(layers, tuple(map(tuple, b.to_lists())), spec.n) == \
+                tuple(map(tuple, (a @ b).to_lists()))
             cols = tuple(zip(*b.to_lists()))
             assert tuple(_act(layers, c, zero) for c in cols) == tuple(zip(*(a @ b).to_lists()))
             for c in cols:

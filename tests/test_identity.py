@@ -32,6 +32,7 @@ from gentorsion.catalog import (
 from gentorsion.catalog import build_K_group
 from gentorsion.errors import BackendCapabilityError
 from gentorsion.extgroup import ExtElement, ExtensionGroup, direct_product
+from gentorsion.intlin import unimodular_inverse
 from gentorsion.gentor import (
     DirectProductGroup,
     SplitMix64,
@@ -40,6 +41,7 @@ from gentorsion.gentor import (
     verify_identity_universal,
 )
 
+import extension_bruteforce as brute
 import identity_symbolic as symbolic
 
 C2 = [[0, 1], [1, 0]]
@@ -85,7 +87,15 @@ CATALOG_SPECS = {
     "z": trivial_z_spec,
     "promislow_x_z": lambda: direct_product(build_promislow(), trivial_z_spec()),
     "dinf_x_klein": lambda: direct_product(build_dihedral_infinite(), build_klein_bottle()),
+    "promislow_x_klein_dense": lambda: dense(
+        direct_product(build_promislow(), build_klein_bottle()), 0),
 }
+
+
+def dense(spec, seed):
+    """``spec`` in a lattice basis where its phi take several gather layers."""
+    u = brute.seeded_unimodular(spec.n, seed)
+    return brute.conjugated(spec, u, unimodular_inverse(u))
 
 
 @functools.cache
@@ -171,7 +181,9 @@ def test_criterion_agrees_with_evaluation_at_edge_exponents(name):
 @given(st.data())
 def test_criterion_equals_evaluation_property(data):
     """On the catalog extension groups and every multiple k of exp(G/A),
-    the criterion answers as the evaluation at n + 1 points does."""
+    the criterion answers as the evaluation at n + 1 points does; among
+    them promislow x klein in a dense basis, whose phi take up to five
+    gather layers."""
     G = group(data.draw(st.sampled_from(sorted(CATALOG_SPECS)), label="group"))
     n, qs = G.spec.n, G.spec.q_size
     k = G.holonomy_exponent() * data.draw(st.integers(-3, 3), label="multiple")
