@@ -27,7 +27,7 @@ from .extgroup import (
     spec_from_dict,
     validate_extension,
 )
-from .gentor import conjugate, is_generalized_torsion, power
+from .gentor import conjugate, is_generalized_torsion, positive_identity_witnesses, power
 from .intlin import IntMatrix, _as_int
 from .metab import MetabGroup, build_K
 
@@ -59,6 +59,7 @@ def build_K_group(p: int, n: int, m: int) -> MetabGroup:
 
 
 WREATH_CAP = 128  # largest accepted |Q| for Z wr Q
+FREEABEXT_CAP = 50_000  # largest accepted |Q| n^2, the entries of phi, for F/[R,R]
 
 
 def build_wreath(q_table) -> ExtensionSpec:
@@ -133,8 +134,10 @@ def build_free_abelianized_extension(inp: FreeAbelExtInput) -> ExtensionSpec:
     These are the abelianized Schreier rewrites of W_q^-1 b W_q,
     W_{qq'}^-1 W_q W_{q'} and W_{img_i}^-1 f_i, for W_q the word along P_q.
 
-    The table is checked first, as ``build_wreath`` checks it; the spec is
-    validated once built, and a failure there is a construction bug.
+    The table is checked first, as ``build_wreath`` checks it, then the
+    rank and the images; an input with more than ``FREEABEXT_CAP`` entries
+    of phi, |Q| n^2, is refused next, before any path or matrix is formed.
+    The spec is validated once built; a failure there is a construction bug.
     """
     r, table, images = inp.rank, inp.q_table, inp.images
     size = len(table)
@@ -148,6 +151,10 @@ def build_free_abelianized_extension(inp: FreeAbelExtInput) -> ExtensionSpec:
     for q in images:
         if not 0 <= q < size:
             raise GroupInputError("generator image outside the group")
+    n = size * (r - 1) + 1
+    if size * n * n > FREEABEXT_CAP:
+        raise GroupInputError(f"free abelianized extension with {size * n * n} phi entries "
+                              f"(|Q| n^2, n = {n}) exceeds the size cap {FREEABEXT_CAP}")
     inverse = [row.index(0) for row in table]
 
     # breadth-first tree; a step by img_i^-1 from q to t crosses the edge
@@ -168,9 +175,9 @@ def build_free_abelianized_extension(inp: FreeAbelExtInput) -> ExtensionSpec:
 
     tree = {edge for path in paths.values() for edge in path}
     off_tree = [(q, i) for q in range(size) for i in range(r) if (q, i) not in tree]
-    if len(off_tree) != size * (r - 1) + 1:
+    if len(off_tree) != n:
         raise TheoremViolationError(
-            f"Schreier generator count {len(off_tree)} differs from |Q|(r-1)+1 = {size * (r - 1) + 1}"
+            f"Schreier generator count {len(off_tree)} differs from |Q|(r-1)+1 = {n}"
         )
 
     def proj(*terms):
@@ -253,17 +260,12 @@ class CasoloGroup:
         self.P = ExtensionGroup(build_promislow(), name="promislow")
         self.name = "gamma"
         self._sign = self._point_sign()
-        delta = GroupRingElement.from_pairs([(self.P.identity(), 1)])
         one = self.P.identity()
-        x = dict(self.P.generators)["x"]
-        y = dict(self.P.generators)["y"]
+        zero = GroupRingElement(())
         self.generators = (
-            ("e", GammaElement(delta, one, one)),
-            ("xl", GammaElement(GroupRingElement(()), x, one)),
-            ("yl", GammaElement(GroupRingElement(()), y, one)),
-            ("xr", GammaElement(GroupRingElement(()), one, x)),
-            ("yr", GammaElement(GroupRingElement(()), one, y)),
-        )
+            (("e", GammaElement(GroupRingElement.from_pairs([(one, 1)]), one, one)),)
+            + tuple((f"{name}l", GammaElement(zero, g, one)) for name, g in self.P.generators)
+            + tuple((f"{name}r", GammaElement(zero, one, g)) for name, g in self.P.generators))
 
     def _point_sign(self) -> tuple:
         """The sign of each point index: x and y go to -1, through Q.
@@ -337,19 +339,16 @@ class CasoloGroup:
         return 1, self.identity_conjugators(self.sigma_candidates()[0])
 
     def identity_conjugators(self, sigma: GammaElement):
-        """The degree-16 conjugator list: 8 diagonal pairs, then the same
-        8 followed by sigma.
+        """P's positive identity (k, T) as diagonal pairs, then the same
+        pairs followed by sigma: degree 2 k |T|, 16 over promislow.
 
-        The diagonal list realizes the degree-8 positive identity of P in
-        both factors, so the first half of the product is a pure ring
-        element fixed by the diagonal; sigma flips its sign and the two
-        halves cancel.
+        Each z in T is repeated k times as the pair (0, z, z), so the first
+        half realizes P's identity in both factors and its product is a
+        pure ring element fixed by the diagonal; sigma flips its sign and
+        the two halves cancel.
         """
-        x = dict(self.P.generators)["x"]
-        y = dict(self.P.generators)["y"]
-        one = self.P.identity()
-        zs = [one, one, x, x, y, y, self.P.mul(x, y), self.P.mul(x, y)]
-        base = [GammaElement(GroupRingElement(()), z, z) for z in zs]
+        k, zs = positive_identity_witnesses(self.P)
+        base = [GammaElement(GroupRingElement(()), z, z) for z in zs for _ in range(k)]
         return base + [self.mul(b, sigma) for b in base]
 
 

@@ -515,9 +515,10 @@ class ExtensionGroup:
         """An element of finite order, or None if the group is torsion-free.
 
         For each q != 0 of order o in Q, (q, a)^o = (0, N_q a + c_q), affine
-        in a: c_q is the lattice part at a = 0 and column i of N_q is the
-        lattice part at a = e_i minus c_q.  A torsion element exists exactly
-        when N_q x = -c_q has an integer solution.
+        in a: N_q = sum_j phi(q)^j is the norm sum_{r in <q>} phi(r) of the
+        stored phi, as phi(q)^j = phi(q^j), and c_q is the lattice part of
+        (q, 0)^o.  A torsion element exists exactly when N_q x = -c_q has
+        an integer solution.
         """
         if self._torsion is _UNSET:
             self._torsion = self._find_torsion()
@@ -526,10 +527,12 @@ class ExtensionGroup:
     def _find_torsion(self):
         s = self.spec
         for q in range(1, s.q_size):
-            o = self.q_order(q)
-            c = self.pow(ExtElement(q, (0,) * s.n), o).a
-            cols = [_vadd(self.pow(ExtElement(q, e), o).a, _vneg(c)) for e in _basis(s.n)]
-            x = solve_integer_linear(IntMatrix._of(zip(*cols), s.n), _vneg(c))
+            walk = [0]
+            while (r := s.q_table[walk[-1]][q]) != 0:
+                walk.append(r)
+            c = self.pow(ExtElement(q, (0,) * s.n), len(walk)).a
+            norm = [tuple(map(sum, zip(*rows))) for rows in zip(*(_rows(s.phi[r]) for r in walk))]
+            x = solve_integer_linear(IntMatrix._of(norm, s.n), _vneg(c))
             if x is not None:
                 return ExtElement(q, _vec(x))
         return None

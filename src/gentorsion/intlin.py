@@ -13,7 +13,6 @@ columns is Z^c / rowspace(R).  Vectors are plain tuples and act as columns.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
 from math import gcd, lcm
 from operator import index
 
@@ -402,9 +401,10 @@ class AbelianStructure(namedtuple("AbelianStructure", "invariant_factors free_ra
     Z^n_generators modulo the row space.  ``to_canonical`` maps a
     generator-exponent vector to one coordinate per invariant factor
     (reduce modulo ``invariant_factors``) followed by the free coordinates.
-    Instances keep a ``__dict__`` (no ``__slots__``) for the inverse
-    transform that ``lift`` caches.
+    It has no ``__dict__``: ``lift`` inverts the transform on each call.
     """
+
+    __slots__ = ()
 
     @property
     def n_generators(self) -> int:
@@ -453,12 +453,7 @@ class AbelianStructure(namedtuple("AbelianStructure", "invariant_factors free_ra
         full = [0] * self.n_generators
         for pos, x in zip(self.selected, coords):
             full[pos] = x
-        return self._inverse_transform.mat_vec(full)
-
-    @cached_property
-    def _inverse_transform(self) -> IntMatrix:
-        # inverted on the first lift and kept with this structure only
-        return unimodular_inverse(self.transform)
+        return unimodular_inverse(self.transform).mat_vec(full)
 
     def describe(self) -> str:
         parts = [f"C{d}" for d in self.invariant_factors] + ["Z"] * self.free_rank

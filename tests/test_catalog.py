@@ -1,9 +1,13 @@
 """Built-in groups: wreath and free-abelianized builders, the group-ring
 backend, and central elements in products."""
 
+import time
+from math import isqrt
+
 import pytest
 
 from gentorsion.catalog import (
+    FREEABEXT_CAP,
     FreeAbelExtInput,
     GammaElement,
     GroupRingElement,
@@ -22,7 +26,9 @@ from gentorsion.gentor import (
     DirectProductGroup,
     SplitMix64,
     is_generalized_torsion,
+    positive_identity_witnesses,
     random_word_element,
+    verify_identity_sampled,
 )
 
 import gamma_bruteforce as brute
@@ -179,6 +185,31 @@ def test_freeabext_input_errors():
         build_free_abelianized_extension(FreeAbelExtInput.build(1, C2xC2, [1]))
 
 
+def test_freeabext_cap_is_on_the_phi_entries():
+    """|Q| n^2 at most ``FREEABEXT_CAP``: over the trivial group n is the
+    rank, so the last accepted rank is the integer square root of the cap."""
+    last = isqrt(FREEABEXT_CAP)
+    spec = build_free_abelianized_extension(FreeAbelExtInput.build(last, [[0]], [0] * last))
+    assert spec.q_size * spec.n ** 2 <= FREEABEXT_CAP < (last + 1) ** 2
+    with pytest.raises(GroupInputError, match="size cap"):
+        build_free_abelianized_extension(FreeAbelExtInput.build(last + 1, [[0]], [0] * (last + 1)))
+
+
+def test_freeabext_cap_comes_after_the_rank_and_image_checks():
+    """A large rank still reports a missing or out-of-range image first,
+    and an over-cap input is refused before its tree paths are walked:
+    rank 10^5 over C2 is refused at once."""
+    big = 10 ** 5
+    with pytest.raises(GroupInputError, match="one image per free generator"):
+        build_free_abelianized_extension(FreeAbelExtInput.build(big, C2, [1] * (big - 1)))
+    with pytest.raises(GroupInputError, match="outside the group"):
+        build_free_abelianized_extension(FreeAbelExtInput.build(big, C2, [1] * (big - 1) + [2]))
+    start = time.perf_counter()
+    with pytest.raises(GroupInputError, match="size cap"):
+        build_free_abelianized_extension(FreeAbelExtInput.build(big, C2, [1] * big))
+    assert time.perf_counter() - start < 1
+
+
 # -- group ring ------------------------------------------------------------
 
 
@@ -289,6 +320,35 @@ def test_gamma_identity_conjugators(gamma):
         for c in conj:
             prod = gamma.mul(prod, gamma.conj(u, c))
         assert prod == gamma.identity()
+
+
+def test_gamma_reads_its_generators_and_identity_off_P(gamma):
+    """The generator names and order are those Gamma always had, formed
+    from P's; each identity is P's (k, T) as diagonal pairs, each z in T
+    k times, then the same pairs times sigma.  The sampled check accepts
+    it and refuses the first half alone and a list with one entry moved."""
+    P = gamma.P
+    one, zero = P.identity(), GroupRingElement(())
+    assert [name for name, _ in gamma.generators] == ["e", "xl", "yl", "xr", "yr"]
+    x, y = dict(P.generators)["x"], dict(P.generators)["y"]
+    assert [g for _, g in gamma.generators] == [
+        GammaElement(GroupRingElement(((one, 1),)), one, one),
+        GammaElement(zero, x, one), GammaElement(zero, y, one),
+        GammaElement(zero, one, x), GammaElement(zero, one, y)]
+    k, T = positive_identity_witnesses(P)
+    base = [GammaElement(zero, z, z) for z in T for _ in range(k)]
+    rng = SplitMix64(4242)
+    for sigma in gamma.sigma_candidates():
+        conj = gamma.identity_conjugators(sigma)
+        assert conj == base + [gamma.mul(b, sigma) for b in base]
+        assert len(conj) == 16 and all(conj[i] == conj[i + 1] for i in range(0, 16, 2))
+        assert len(set(conj)) == 8
+        assert verify_identity_sampled(gamma, 1, conj, 200, 11)
+        assert not verify_identity_sampled(gamma, 1, conj[:8], 200, 11)
+        tampered = list(conj)
+        i = rng.randrange(16)
+        tampered[i] = gamma.mul(tampered[i], dict(gamma.generators)["xr"])
+        assert not verify_identity_sampled(gamma, 1, tampered, 200, 11), i
 
 
 def test_gamma_no_small_torsion(gamma):

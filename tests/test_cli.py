@@ -502,6 +502,20 @@ def test_over_cap_wreath_is_refused_quickly(tmp_path, capsys):
     assert err == f"error: wreath point group of order {size} exceeds the size cap {size - 1}\n"
 
 
+def test_over_cap_freeabext_is_refused_quickly(tmp_path, capsys):
+    """Rank 80 over C2 (n = 159), the first rank over ``FREEABEXT_CAP``
+    there, exits 2 before any tree path or matrix is formed."""
+    path = tmp_path / "c2.json"
+    path.write_text(json.dumps({"rank": 80, "q_table": [[0, 1], [1, 0]], "images": [1] * 80}))
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "info", f"freeabext:{path}")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == ("error: free abelianized extension with 50562 phi entries (|Q| n^2, n = 159) "
+                   f"exceeds the size cap {catalog.FREEABEXT_CAP}\n")
+    assert 2 * 157 ** 2 <= catalog.FREEABEXT_CAP < 2 * 159 ** 2
+
+
 def test_large_power_in_gamma(capsys):
     # square-and-multiply: about 60 muls, not 10^9, before the capability error
     code, _, err = invoke(capsys, "decide", "gamma", "e^1000000000")

@@ -36,9 +36,13 @@ judged as the full checks judge them.  ``build_wreath`` and
 ``direct_product`` build from checked ints, and must give the specs
 ``ExtensionSpec.build`` gives on the same lists.  A seeded change of
 lattice basis leaves validation and every ``info`` answer unchanged.
+Malformed shapes (the table against q_size, the count and size of phi,
+the factor set's array and vectors, the generators' indices and vectors)
+get the oracle's lines, and as JSON exit 2 from ``validate`` and ``info``.
 A wreath table above ``WREATH_CAP`` is refused before its table check.
 """
 
+import json
 from collections import Counter
 from itertools import product
 
@@ -54,6 +58,7 @@ from gentorsion.catalog import (
     build_wreath,
 )
 from gentorsion import catalog, extgroup, gentor
+from gentorsion.cli import run
 from gentorsion.errors import GroupInputError
 from gentorsion.extgroup import (
     ExtElement,
@@ -485,6 +490,67 @@ def test_finite_spec_without_lattice():
     broken = spec_from_dict(data)
     assert validate_extension(broken).failures == \
         tuple(checked_lines(broken, brute.validate_extension(broken).failures))
+
+
+def _dinf_with(**fields):
+    return build_dihedral_infinite()._replace(**fields)
+
+
+def _dinf_generators(**changed):
+    return tuple((name, ExtElement(*changed.get(name, g)))
+                 for name, g in build_dihedral_infinite().generator_names)
+
+
+# malformed specs, each with whether it can be written as a JSON spec: a
+# q_size that disagrees with the table stops in ``spec_from_dict``
+MALFORMED = {
+    "q_table rows": (lambda: _dinf_with(q_size=3), False),
+    "phi count": (lambda: _dinf_with(phi=build_dihedral_infinite().phi[:1]), True),
+    "phi size": (lambda: _dinf_with(phi=(IntMatrix.identity(1), IntMatrix.identity(2))), True),
+    "phi not square": (lambda: _dinf_with(phi=(IntMatrix.identity(1), IntMatrix([[1, 0]]))), True),
+    "coc rows": (lambda: _dinf_with(coc=build_dihedral_infinite().coc[:1]), True),
+    "coc row length": (lambda: _dinf_with(coc=(((0,), (0,)), ((0,),))), True),
+    "coc vector length": (lambda: _dinf_with(coc=(((0,), (0,)), ((0,), (0, 0)))), True),
+    "generator point": (lambda: _dinf_with(generator_names=_dinf_generators(b=(2, (0,)))), True),
+    "generator vector": (lambda: _dinf_with(generator_names=_dinf_generators(a=(0, (1, 0)))), True),
+    "several": (lambda: _dinf_with(phi=build_dihedral_infinite().phi[:1],
+                                   coc=(((0,), (0,)), ((0,), ())),
+                                   generator_names=_dinf_generators(b=(-1, (0,)), a=(0, ()))),
+                True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_shapes_match_full_checks(name, tmp_path, capsys):
+    """Every shape line is the oracle's; a JSON spec exits 2 from
+    ``validate`` printing the lines, and from ``info`` with nothing on
+    stdout."""
+    build, as_json = MALFORMED[name]
+    spec = build()
+    report = validate_extension(spec)
+    assert report.failures and report == brute.validate_extension(spec)
+    if not as_json:
+        return
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec_to_dict(spec)))
+    assert run(["validate", str(path)]) == 2
+    assert capsys.readouterr().out == "valid=false\n" + "".join(
+        f"failure: {line}\n" for line in report.failures)
+    assert run(["info", f"spec:{path}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: invalid extension spec: ")
+
+
+def test_spec_n_must_match_the_phi(tmp_path, capsys):
+    data = spec_to_dict(build_dihedral_infinite())
+    data["n"] = 2
+    with pytest.raises(GroupInputError, match="n disagrees with the phi matrices"):
+        spec_from_dict(data)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    for argv in (["validate", str(path)], ["info", f"spec:{path}"]):
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", "error: n disagrees with the phi matrices\n")
 
 
 def test_many_distinct_factor_set_vectors():

@@ -8,8 +8,9 @@ extension group evaluates the product of conjugates of (q, a)^k at a = 0
 and at each basis vector e_i (``_identity_at_points``) once the criterion
 has not rejected.  The criterion is compared with that evaluation at the
 edge values of k and as a ``hypothesis`` property, and on K and on
-products with 30-sample checks.  ``torsion_witness`` reads N_q and c_q
-off (q, 0)^o and (q, e_i)^o.  ``identity_symbolic`` keeps the
+products with 30-sample checks.  ``torsion_witness`` sums the stored phi
+over <q> for N_q and reads c_q off (q, 0)^o, one power per point; the C4
+cases give it points of order 4.  ``identity_symbolic`` keeps the
 formal-vector arithmetic both once used; the verdicts and the torsion
 witnesses must agree with it.
 """
@@ -36,6 +37,7 @@ from gentorsion.intlin import unimodular_inverse
 from gentorsion.gentor import (
     DirectProductGroup,
     SplitMix64,
+    power,
     random_word_element,
     verify_identity_sampled,
     verify_identity_universal,
@@ -47,6 +49,7 @@ import identity_symbolic as symbolic
 C2 = [[0, 1], [1, 0]]
 C3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
 C2xC2 = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+C4 = [[(i + j) % 4 for j in range(4)] for i in range(4)]
 # S3 with index 0 the identity; 1, 2 and 5 are the transpositions
 S3 = [
     [0, 1, 2, 3, 4, 5],
@@ -84,6 +87,9 @@ CATALOG_SPECS = {
         FreeAbelExtInput.build(2, C2xC2, [1, 2])),
     "freeabext_s3": lambda: build_free_abelianized_extension(
         FreeAbelExtInput.build(2, S3, [1, 3])),
+    "wreath_c4": lambda: build_wreath(C4),
+    "freeabext_c4": lambda: build_free_abelianized_extension(
+        FreeAbelExtInput.build(2, C4, [1, 2])),
     "z": trivial_z_spec,
     "promislow_x_z": lambda: direct_product(build_promislow(), trivial_z_spec()),
     "dinf_x_klein": lambda: direct_product(build_dihedral_infinite(), build_klein_bottle()),
@@ -139,6 +145,22 @@ def test_universal_check_agrees_with_symbolic_oracle(name):
 def test_torsion_witness_agrees_with_recurrence(name):
     G = group(name)
     assert G.torsion_witness() == symbolic.find_torsion(G)
+
+
+@pytest.mark.parametrize("name", CATALOG_SPECS)
+def test_torsion_search_powers_once_per_point(name, monkeypatch):
+    """One ``pow`` per point tried, for c_q: N_q is read off the stored phi."""
+    G = ExtensionGroup(CATALOG_SPECS[name](), name=name)
+    tried = []
+
+    def counting(self, g, k):
+        tried.append(g.q)
+        return power(self, g, k)
+
+    monkeypatch.setattr(ExtensionGroup, "pow", counting)
+    witness = G.torsion_witness()
+    last = G.spec.q_size - 1 if witness is None else witness.q
+    assert tried == list(range(1, last + 1))
 
 
 def test_torsion_witness_cases_cover_both_outcomes():

@@ -9,7 +9,6 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import gentorsion.intlin as intlin
 from gentorsion.catalog import FreeAbelExtInput, build_casolo_gamma, build_promislow
 from gentorsion.extgroup import ExtElement, ExtensionGroup, validate_extension
 from gentorsion.gentor import ExponentBounds, WitnessCertificate, gen_exponent_bounds, witness_construct
@@ -106,23 +105,6 @@ def test_word_nodes_compare_with_their_class():
 def test_ident_is_truthy():
     assert Ident()
     assert bool(Ident()) is True
-
-
-def test_second_lift_reuses_the_cached_inverse(monkeypatch):
-    calls = []
-    original = intlin.unimodular_inverse
-
-    def counting(m):
-        calls.append(m)
-        return original(m)
-
-    monkeypatch.setattr(intlin, "unimodular_inverse", counting)
-    s = cokernel_structure(IntMatrix([[2, 4, 4], [-6, 6, 12], [4, 8, 8]]))
-    first = s.lift((1,) * len(s.selected))
-    cached = vars(s)["_inverse_transform"]
-    assert s.lift((1,) * len(s.selected)) == first
-    assert vars(s)["_inverse_transform"] is cached
-    assert len(calls) == 1
 
 
 # -- print/parse round trip --------------------------------------------------
