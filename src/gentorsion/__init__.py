@@ -8,14 +8,17 @@ crystallographic extension data, the metabelian K(p^n, p^m) collection
 engine, and a group-ring semidirect product for sampled-only checks.
 
 Value types (elements, specs, reports, certificates, word nodes) are
-``collections.namedtuple`` subclasses, not dataclasses: a dataclass
-compiles generated source for every class at import, and importing
-``dataclasses`` loads ``inspect`` and ``ast`` with it, which together
-cost more than most CLI commands compute.  They stay immutable, keep
-their positional constructors, field names and reprs, and compare and
-hash as tuples of their fields.  Word nodes compare with their class as
-well, so ``Conj(a, b) != Comm(a, b)``.  Nothing here imports ``typing``
-or ``importlib.resources``; data files are read through the catalog
+records (``_record.Record``): tuple subclasses whose constructor and
+field accessors are shared objects, so importing the package generates
+and compiles no source.  Dataclasses and ``collections.namedtuple`` both
+compile generated source for every class at import; for dataclasses
+that, with the ``inspect`` and ``ast`` modules they load, cost more
+than most CLI commands compute, and namedtuple's per-class ``eval`` was
+over a quarter of the package's import.  Records are immutable, keep their
+positional constructors, field names and reprs, and compare and hash as
+tuples of their fields.  Word nodes compare with their class as well, so
+``Conj(a, b) != Comm(a, b)``.  Nothing here imports ``typing`` or
+``importlib.resources``; data files are read through the catalog
 module's own loader.
 """
 

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import json
 import os
-from collections import namedtuple
 
+from ._record import Record, _tuple_new
 from .errors import GroupInputError, TheoremViolationError
 from .extgroup import (
     ExtElement,
@@ -106,7 +106,7 @@ def build_wreath(q_table) -> ExtensionSpec:
     return ExtensionSpec(n, table, n, tuple(phi), coc, generators)
 
 
-class FreeAbelExtInput(namedtuple("FreeAbelExtInput", "rank q_table images")):
+class FreeAbelExtInput(Record, fields="rank q_table images"):
     """Free rank, finite target Q as a table, and the generator images."""
 
     __slots__ = ()
@@ -218,7 +218,7 @@ def build_free_abelianized_extension(inp: FreeAbelExtInput) -> ExtensionSpec:
 # -- group-ring backend ---------------------------------------------------
 
 
-class GroupRingElement(namedtuple("GroupRingElement", "items")):
+class GroupRingElement(Record, fields="items"):
     """Finite-support integer combination of group elements (sorted items)."""
 
     __slots__ = ()
@@ -242,7 +242,7 @@ class GroupRingElement(namedtuple("GroupRingElement", "items")):
         return sum(c for _, c in self.items)
 
 
-class GammaElement(namedtuple("GammaElement", "ring g h")):
+class GammaElement(Record, fields="ring g h"):
     __slots__ = ()
 
 
@@ -302,7 +302,8 @@ class CasoloGroup:
         for key, c in r.items:
             key = mul(g, key)
             acc[key] = acc.get(key, 0) + k * c
-        return GroupRingElement(tuple(sorted(item for item in acc.items() if item[1])))
+        items = tuple(sorted(item for item in acc.items() if item[1]))
+        return _tuple_new(GroupRingElement, (items,))
 
     def identity(self) -> GammaElement:
         return GammaElement(GroupRingElement(()), self.P.identity(), self.P.identity())
@@ -310,13 +311,13 @@ class CasoloGroup:
     def mul(self, a: GammaElement, b: GammaElement) -> GammaElement:
         P = self.P
         ring = self._ring_sum(a.ring, a.g, b.ring, self._sign[a.h.q])
-        return GammaElement(ring, P.mul(a.g, b.g), P.mul(a.h, b.h))
+        return _tuple_new(GammaElement, (ring, P.mul(a.g, b.g), P.mul(a.h, b.h)))
 
     def inv(self, a: GammaElement) -> GammaElement:
         gi = self.P.inv(a.g)
         hi = self.P.inv(a.h)
         ring = self._ring_sum(GroupRingElement(()), gi, a.ring, -self._sign[hi.q])
-        return GammaElement(ring, gi, hi)
+        return _tuple_new(GammaElement, (ring, gi, hi))
 
     conj = conjugate
     pow = power

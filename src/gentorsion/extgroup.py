@@ -41,17 +41,19 @@ check itself (see ``validate_extension``).
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import Counter
+from itertools import compress
 from math import lcm
 from operator import add, itemgetter, mul, neg
 
+from ._record import Record, _tuple_new
 from .errors import GroupInputError
 from .gentor import (_UNSET, _free_name, _verify_product, conjugate, labeled_transversal,
                      order_mod_translation, power)
 from .intlin import IntMatrix, _as_int, cokernel_structure, solve_integer_linear
 
 
-class ExtElement(namedtuple("ExtElement", "q a")):
+class ExtElement(Record, fields="q a"):
     __slots__ = ()
 
 
@@ -67,7 +69,7 @@ def _vneg(v) -> tuple:
     return tuple(-x for x in v)
 
 
-class ExtensionSpec(namedtuple("ExtensionSpec", "q_size q_table n phi coc generator_names")):
+class ExtensionSpec(Record, fields="q_size q_table n phi coc generator_names"):
     __slots__ = ()
 
     @classmethod
@@ -89,7 +91,7 @@ class ExtensionSpec(namedtuple("ExtensionSpec", "q_size q_table n phi coc genera
         return cls(q_size, table, n, mats, cocs, gens)
 
 
-class ValidationReport(namedtuple("ValidationReport", "failures")):
+class ValidationReport(Record, fields="failures"):
     __slots__ = ()
 
     @property
@@ -341,7 +343,8 @@ def _layers(m: IntMatrix) -> tuple:
     as many layers as the densest row has nonzero entries, none when m is
     0x0 or zero.
     """
-    rows = [[(j, x) for j, x in enumerate(row) if x] for row in _rows(m)]
+    cols = range(m.cols)
+    rows = [[(j, row[j]) for j in compress(cols, row)] for row in _rows(m)]
     width = max(map(len, rows), default=0)
     layers = []
     for t in range(width):
@@ -456,10 +459,11 @@ class ExtensionGroup:
         gq, ga = g
         hq, ha = h
         out = map(add, self._coc[gq][hq], ha)
-        # _act's loop, written out: mul and inv are the hot path
+        # _act's loop, written out, and the result built by tuple.__new__:
+        # mul and inv are the hot path
         for get, co in self._layers[hq]:
             out = map(add, out, map(mul, co, get(ga)))
-        return ExtElement(self._table[gq][hq], tuple(out))
+        return _tuple_new(ExtElement, (self._table[gq][hq], tuple(out)))
 
     def inv(self, g: ExtElement) -> ExtElement:
         gq, ga = g
@@ -467,7 +471,7 @@ class ExtensionGroup:
         out = self._coc[gq][qi]
         for get, co in self._layers[qi]:
             out = map(add, out, map(mul, co, get(ga)))
-        return ExtElement(qi, tuple(map(neg, out)))
+        return _tuple_new(ExtElement, (qi, tuple(map(neg, out))))
 
     conj = conjugate
     pow = power

@@ -44,10 +44,10 @@ BackendCapabilityError.
 
 from __future__ import annotations
 
-from collections import namedtuple
-from itertools import groupby
+from itertools import groupby, islice
 from math import lcm, prod
 
+from ._record import Record
 from .errors import BackendCapabilityError, GroupInputError, TheoremViolationError
 from .intlin import IntMatrix, cokernel_structure
 from .words import Pow, parse_word, print_word, run_word
@@ -183,17 +183,29 @@ class SplitMix64:
 
 def random_word_element(G, rng: SplitMix64, max_length: int = 12):
     """Product of up to ``max_length`` random generators or inverses."""
+    return next(_random_words(G, rng, max_length))
+
+
+def _random_words(G, rng: SplitMix64, max_length: int = 12):
+    """Endless ``random_word_element`` draws from one rng; each generator
+    is inverted at most once, when its inverse is first drawn."""
     gens = [g for _, g in G.generators]
     if not gens:
         raise GroupInputError("sampling elements needs at least one generator")
-    out = None
-    for _ in range(1 + rng.randrange(max_length)):
-        pick = rng.randrange(2 * len(gens))
-        letter = gens[pick >> 1]
-        if pick & 1:
-            letter = G.inv(letter)
-        out = letter if out is None else G.mul(out, letter)
-    return out
+    inverses = [None] * len(gens)
+    while True:
+        out = None
+        for _ in range(1 + rng.randrange(max_length)):
+            pick = rng.randrange(2 * len(gens))
+            i = pick >> 1
+            if pick & 1:
+                letter = inverses[i]
+                if letter is None:
+                    letter = inverses[i] = G.inv(gens[i])
+            else:
+                letter = gens[i]
+            out = letter if out is None else G.mul(out, letter)
+        yield out
 
 
 # -- decision and bounds --------------------------------------------------
@@ -226,7 +238,7 @@ def gen_order_lower_bound(G, g) -> int:
     return o
 
 
-class ExponentBounds(namedtuple("ExponentBounds", "lower upper exact")):
+class ExponentBounds(Record, fields="lower upper exact"):
     __slots__ = ()
 
 
@@ -244,8 +256,7 @@ def gen_exponent_bounds(G) -> ExponentBounds:
 # -- certificates ---------------------------------------------------------
 
 
-class WitnessCertificate(namedtuple("WitnessCertificate",
-                                    "base conjugators words length verified")):
+class WitnessCertificate(Record, fields="base conjugators words length verified"):
     """A verified product of conjugates of ``base`` equal to the identity."""
 
     __slots__ = ()
@@ -370,7 +381,7 @@ def verify_identity_sampled(G, k: int, conjugators, samples: int, seed: int) -> 
     if samples < 1:
         raise GroupInputError(f"samples must be >= 1, got {samples}")
     rng = SplitMix64(seed)
-    bases = (G.pow(random_word_element(G, rng), k) for _ in range(samples))
+    bases = (G.pow(g, k) for g in islice(_random_words(G, rng), samples))
     return _verify_product(G, bases, conjugators)
 
 

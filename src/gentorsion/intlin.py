@@ -12,9 +12,10 @@ columns is Z^c / rowspace(R).  Vectors are plain tuples and act as columns.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from math import gcd, lcm
-from operator import index
+from operator import index, mul
+
+from ._record import Record
 
 
 class DimensionError(ValueError):
@@ -140,7 +141,7 @@ class IntMatrix:
         v = tuple(v)
         if len(v) != self.cols:
             raise DimensionError(f"vector of length {len(v)} against {self.rows}x{self.cols}")
-        return tuple(sum(r[k] * v[k] for k in range(self.cols)) for r in self._data)
+        return tuple(sum(map(mul, r, v)) for r in self._data)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows or self.cols != other.cols:
@@ -245,7 +246,7 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return IntMatrix._of(a, m.cols), IntMatrix._of(u, m.rows)
 
 
-class SmithDecomposition(namedtuple("SmithDecomposition", "U D V")):
+class SmithDecomposition(Record, fields="U D V"):
     """U @ M @ V == D with U, V unimodular and D diagonal.
 
     The diagonal entries are nonnegative and form a divisibility chain
@@ -265,9 +266,10 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     """Smith normal form with transforms.
 
     Pivot selection scans the working submatrix row-major and picks the
-    nonzero entry of minimal absolute value, so the computation is
-    deterministic.  Negative pivots are normalized by sign flips folded
-    into U.
+    first nonzero entry of minimal absolute value, so the computation is
+    deterministic; the scan stops after the row of the first unit, and a
+    unit pivot needs no divisibility sweep.  Negative pivots are
+    normalized by sign flips folded into U.
     """
     u, a, v = _smith_eliminate(m, track_v=True)
     return SmithDecomposition(
@@ -326,6 +328,10 @@ def _smith_eliminate(m: IntMatrix, track_v: bool):
                 x = a[i][j]
                 if x and (best is None or abs(x) < best[0]):
                     best = (abs(x), i, j)
+            # no entry is smaller than a unit, and the scan keeps the
+            # first least one, so the rows below cannot change it
+            if best is not None and best[0] == 1:
+                break
         if best is None:
             break
         _, bi, bj = best
@@ -346,6 +352,8 @@ def _smith_eliminate(m: IntMatrix, track_v: bool):
             if any(a[i][t] for i in range(t + 1, R)):
                 continue
             d = a[t][t]
+            if d == 1 or d == -1:  # a unit divides every entry
+                break
             bad = None
             for i in range(t + 1, R):
                 for j in range(t + 1, C):
@@ -393,8 +401,8 @@ def unimodular_inverse(m: IntMatrix) -> IntMatrix:
     return w
 
 
-class AbelianStructure(namedtuple("AbelianStructure", "invariant_factors free_rank "
-                                                     "to_canonical moduli selected transform")):
+class AbelianStructure(Record, fields="invariant_factors free_rank to_canonical moduli "
+                                      "selected transform"):
     """Canonical form of a finitely generated abelian group.
 
     Built from a relation matrix (relations as rows); the group is

@@ -54,12 +54,13 @@ only representation of M.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import Counter
 from itertools import repeat
 from math import gcd, lcm
 from operator import add, itemgetter, neg, sub
 from types import SimpleNamespace
 
+from ._record import Record, _tuple_new
 from .errors import BackendCapabilityError, GroupInputError, TheoremViolationError
 from .gentor import (_UNSET, conjugate, labeled_transversal, order_mod_translation, power,
                      transversal)
@@ -68,7 +69,7 @@ from .intlin import AbelianStructure, IntMatrix
 SIZE_CAP = 256  # largest accepted N = p^(n+m)
 
 
-class MetabElement(namedtuple("MetabElement", "key alpha beta coords")):
+class MetabElement(Record, fields="key alpha beta coords"):
     __slots__ = ()
 
 
@@ -310,7 +311,7 @@ class MetabGroup:
         v0 = v[0]
         tail = v[1:]
         coords = tuple(map(sub, tail, repeat(v0)) if v0 else tail)
-        return MetabElement(self.key, alpha, beta, coords)
+        return _tuple_new(MetabElement, (self.key, alpha, beta, coords))
 
     @staticmethod
     def _fold(v, tail, k: int):

@@ -23,8 +23,7 @@ either direction.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
+from ._record import Record
 from .errors import GroupInputError
 
 
@@ -39,10 +38,10 @@ class WordSyntaxError(ValueError):
         self.position = position
 
 
-class _Node(tuple):
+class _Node(Record):
     """Shared base of the word nodes.
 
-    Nodes are namedtuples, but equality and hashing also see the class, so
+    Nodes are records, but equality and hashing also see the class, so
     ``Conj(a, b) != Comm(a, b)`` and ``Gen("x") != ("x",)``; every node is
     truthy, ``Ident()`` included.
     """
@@ -62,30 +61,30 @@ class _Node(tuple):
         return True
 
 
-class Gen(_Node, namedtuple("Gen", "name")):
+class Gen(_Node, fields="name"):
     __slots__ = ()
 
 
-class Ident(_Node, namedtuple("Ident", "")):
+class Ident(_Node, fields=""):
     __slots__ = ()
 
 
-class Mul(_Node, namedtuple("Mul", "factors")):
+class Mul(_Node, fields="factors"):
     __slots__ = ()
 
     def __new__(cls, factors):
-        return super().__new__(cls, tuple(factors))
+        return tuple.__new__(cls, (tuple(factors),))
 
 
-class Pow(_Node, namedtuple("Pow", "base exp")):
+class Pow(_Node, fields="base exp"):
     __slots__ = ()
 
 
-class Conj(_Node, namedtuple("Conj", "base by")):
+class Conj(_Node, fields="base by"):
     __slots__ = ()
 
 
-class Comm(_Node, namedtuple("Comm", "left right")):
+class Comm(_Node, fields="left right"):
     __slots__ = ()
 
 
@@ -278,7 +277,8 @@ def _eval(group, node, bindings):
     if isinstance(node, Comm):
         a = _eval(group, node.left, bindings)
         b = _eval(group, node.right, bindings)
-        return group.mul(group.mul(group.inv(a), group.inv(b)), group.mul(a, b))
+        # a^-1 b^-1 a b as (b a)^-1 (a b): one inverse where two would do
+        return group.mul(group.inv(group.mul(b, a)), group.mul(a, b))
     raise TypeError(f"not a word node: {node!r}")
 
 

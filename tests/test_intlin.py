@@ -1,5 +1,6 @@
 """Exact integer linear algebra: frozen examples, randomized oracles and properties."""
 
+import hashlib
 from itertools import combinations
 from math import gcd
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from gentorsion.intlin import (
     AbelianStructure,
+    _smith_eliminate,
     DimensionError,
     IntMatrix,
     cokernel_structure,
@@ -221,6 +223,34 @@ def test_normal_forms_random_oracle():
         for k in range(1, min(rows, cols) + 1):
             prod *= diag[k - 1]
             assert prod == _minor_gcd(m, k)
+
+
+# Digests of (U, D, V) on seeded matrices, recorded from the elimination
+# that scanned the whole working submatrix for every pivot and swept it for
+# divisibility under every pivot.  Stopping the scan at the first unit and
+# skipping the sweep under a unit pivot must leave all three unchanged.
+PINNED_ELIMINATIONS = {
+    "units": ((-2, -1, -1, 0, 0, 0, 1, 1, 2), "f73faf65a7e6cae8"),
+    "no units": ((-6, -4, -3, -2, 0, 0, 0, 2, 3, 4, 6), "9a303417ae359101"),
+    "sparse": ((0,) * 9 + (1, -1, 1, -1, 2, 3, -5), "acbdd11f9266f287"),
+}
+PINNED_SHAPES = [(r, c) for r in (1, 2, 3, 5, 8) for c in (1, 2, 4, 7)] + [
+    (12, 4), (4, 12), (10, 10)]
+
+
+@pytest.mark.parametrize("family", PINNED_ELIMINATIONS)
+def test_elimination_is_pinned(family):
+    entries, digest = PINNED_ELIMINATIONS[family]
+    rng = SplitMix64(len(family))
+    h = hashlib.sha256()
+    for rows, cols in PINNED_SHAPES:
+        m = IntMatrix([[entries[rng.randrange(len(entries))] for _ in range(cols)]
+                       for _ in range(rows)], cols=cols)
+        snf = smith_normal_form(m)
+        u, d, v = _smith_eliminate(m, track_v=False)
+        assert (u, d, v) == (snf.U.to_lists(), snf.D.to_lists(), None)
+        h.update(repr((snf.U, snf.D, snf.V)).encode())
+    assert h.hexdigest()[:16] == digest
 
 
 def test_solver_random():

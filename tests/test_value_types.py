@@ -1,10 +1,15 @@
-"""Value types: immutable namedtuples with the public fields, constructors
-and reprs of the API, class-sensitive word nodes, and an import of the CLI
-that loads none of the heavy standard-library modules."""
+"""Value types: immutable records with the public fields, constructors
+and reprs of the API, and namedtuple's behaviour (``_fields``,
+``_replace``, pickling, copying, tuple equality and hashing); class-sensitive
+word nodes; and an import of the package that makes no namedtuple and
+loads none of the heavy standard-library modules."""
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
+from collections import namedtuple
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,7 +19,7 @@ from gentorsion.extgroup import ExtElement, ExtensionGroup, validate_extension
 from gentorsion.gentor import ExponentBounds, WitnessCertificate, gen_exponent_bounds, witness_construct
 from gentorsion.intlin import IntMatrix, cokernel_structure, smith_normal_form
 from gentorsion.metab import build_K
-from gentorsion.words import Comm, Conj, Gen, Ident, Mul, Pow, parse_word, print_word
+from gentorsion.words import Comm, Conj, Gen, Ident, Mul, Pow, _Node, parse_word, print_word
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -73,6 +78,63 @@ def test_fields_cannot_be_assigned(value, fields):
     for name in fields or ("name",):
         with pytest.raises(AttributeError):
             setattr(value, name, None)
+
+
+@pytest.mark.parametrize("value, fields", SAMPLES, ids=IDS)
+def test_fields_and_keyword_constructor(value, fields):
+    cls = type(value)
+    assert cls._fields == fields
+    assert cls(**dict(zip(fields, value))) == value
+    assert not hasattr(value, "__dict__")
+    # fields are read through namedtuple's own C-level accessor
+    reference = namedtuple(cls.__name__, fields)
+    assert all(type(getattr(cls, f)) is type(getattr(reference, f)) for f in fields)
+
+
+@pytest.mark.parametrize("value, fields", SAMPLES, ids=IDS)
+def test_wrong_arity_is_a_type_error(value, fields):
+    with pytest.raises(TypeError):
+        type(value)(*value, None)
+    if fields:
+        with pytest.raises(TypeError):
+            type(value)(*value[:-1])
+
+
+@pytest.mark.parametrize("value, fields", SAMPLES, ids=IDS)
+def test_repr_matches_namedtuple(value, fields):
+    assert repr(value) == repr(namedtuple(type(value).__name__, fields)(*value))
+
+
+@pytest.mark.parametrize("value, fields", SAMPLES, ids=IDS)
+def test_replace(value, fields):
+    assert value._replace() == value
+    marker = ("replaced",)  # a tuple, which Mul keeps as it is
+    for i, name in enumerate(fields):
+        changed = value._replace(**{name: marker})
+        assert type(changed) is type(value)
+        assert getattr(changed, name) is marker
+        assert changed[:i] + changed[i + 1:] == value[:i] + value[i + 1:]
+    with pytest.raises(ValueError, match="unexpected field names"):
+        value._replace(no_such_field=1)
+
+
+@pytest.mark.parametrize("value, fields", SAMPLES, ids=IDS)
+def test_pickle_and_copy_round_trips(value, fields):
+    copies = [pickle.loads(pickle.dumps(value, protocol))
+              for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+    copies += [copy.copy(value), copy.deepcopy(value)]
+    for other in copies:
+        assert other == value and hash(other) == hash(value)
+        assert type(other) is type(value)
+
+
+@pytest.mark.parametrize("value, fields", SAMPLES, ids=IDS)
+def test_equality_and_hash_against_the_plain_tuple(value, fields):
+    plain = tuple(value)
+    if isinstance(value, _Node):  # word nodes also compare their class
+        assert value != plain and plain != value
+    else:
+        assert value == plain and plain == value and hash(value) == hash(plain)
 
 
 def test_certificate_positional_constructor():
@@ -142,3 +204,21 @@ def test_cli_import_loads_no_heavy_module():
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.split() == []
+
+
+def test_import_makes_no_namedtuple_call():
+    """``import gentorsion.cli`` succeeds while ``collections.namedtuple``
+    raises for every call made from the package's own modules."""
+    code = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {SRC!r})",
+        "import collections",
+        "real = collections.namedtuple",
+        "def refuse(*args, **kwargs):",
+        "    if sys._getframe(1).f_globals['__name__'].startswith('gentorsion'):",
+        "        raise AssertionError('namedtuple called from gentorsion')",
+        "    return real(*args, **kwargs)",
+        "collections.namedtuple = refuse",
+        "import gentorsion.cli",
+    ])
+    subprocess.run([sys.executable, "-S", "-c", code], check=True)
