@@ -29,14 +29,13 @@ where a layer reads a[idx_t] with one ``itemgetter``.  A signed
 permutation, as every phi of dinf, klein, promislow and Z wr Q is, is
 one layer; a dense phi is n layers.  A product is coc(q, q') + a' plus
 one vector pass per layer of phi(q'), and an inverse the same on q^-1,
-negated once.  ``validate_extension`` applies phi(s) through the same
-layers: to each distinct factor-set vector once (``_act``, start +
-phi(s) v) for the cocycle identity, and to the rows of phi(q) for the
-anti-homomorphism, since row i of phi(q s) = phi(s) phi(q) is
-sum_t co_t[i] times row idx_t[i] of phi(q), one gather of rows per
-layer.  That is O(w n^2) per pair, not O(n^3).  A spec that passes
-takes no determinant: its phi are unimodular by the anti-homomorphism
-check itself (see ``validate_extension``).
+negated once.  ``validate_extension`` does not pad: it keeps each phi(s)
+as its nonzero entries (``_sparse``), and ``_times`` forms phi(s) M
+reading one row of M per entry, for M = phi(q) in the anti-homomorphism
+check and M with the distinct factor-set vectors as columns in the
+cocycle check.  A spec that passes takes no determinant: its phi are
+unimodular by the anti-homomorphism check itself (see
+``validate_extension``).
 """
 
 from __future__ import annotations
@@ -215,16 +214,14 @@ def validate_extension(spec: ExtensionSpec) -> ValidationReport:
     anti-homomorphism check fails is ``IntMatrix.det`` run on every phi(q);
     a determinant other than +-1 is then reported in place of those lines.
 
-    Each phi(s) is split into its w gather layers once (see the module
-    docstring).  Row i of phi(s) phi(q) is sum_t co_t[i] times row
-    idx_t[i] of phi(q), so the anti-homomorphism check gathers the rows
-    of phi(q) once per layer and compares them with the rows of phi(q s):
-    O(|Q| |S| w n^2), against O(|Q|^2 n^3) for dense products over all
-    pairs.  The cocycle check interns the factor-set vectors to ids, applies
-    each phi(s) once per distinct vector, and memoises the sum of two ids,
-    so a triple costs a few dict lookups: O(|Q|^2 |S|) lookups plus
-    O(w n) per distinct vector, sum or image, where the check over all
-    triples costs O(|Q|^3 n^2).
+    The anti-homomorphism check compares the rows of phi(s) phi(q),
+    formed by ``_times``, with those of phi(q s): O(|Q| |S| nnz n) for
+    nnz the most nonzero entries of a phi(s), against O(|Q|^2 n^3) for
+    dense products over all pairs.  The cocycle check interns the
+    factor-set vectors to ids, applies each phi(s) to all distinct
+    vectors at once, and memoises the sum of two ids, so a triple costs
+    a few dict lookups: O(|Q|^2 |S|) lookups plus O(nnz) row steps per s,
+    where the check over all triples costs O(|Q|^3 n^2).
     """
     qs, table = spec.q_size, spec.q_table
     if len(table) != qs:
@@ -241,7 +238,7 @@ def validate_extension(spec: ExtensionSpec) -> ValidationReport:
     elif any(m.rows != n or m.cols != n for m in phi):
         bad = _matrix_failures(phi, n)
     else:
-        acts = [(s, _layers(phi[s])) for s in gens]
+        acts = [(s, _sparse(phi[s])) for s in gens]
         found = _phi_failures(phi, table, acts, n)
         if found:  # only now may some phi(q) be singular
             bad = _matrix_failures(phi, n) or found
@@ -253,7 +250,7 @@ def validate_extension(spec: ExtensionSpec) -> ValidationReport:
             for r in range(qs):
                 if len(coc[q][r]) != n:
                     bad.append(f"coc({q},{r}) has wrong length")
-        if not bad:  # so the phi checks ran, and acts holds the layers of S
+        if not bad:  # so the phi checks ran, and acts holds the forms of S
             for q in range(qs):
                 if coc[0][q] != zero or coc[q][0] != zero:
                     bad.append(f"factor set is not normalized at q={q}")
@@ -279,14 +276,14 @@ def _matrix_failures(phi, n) -> list:
 
 def _phi_failures(phi, table, acts, n) -> list:
     """The phi(0) = I and anti-homomorphism lines: phi(q s) = phi(s) phi(q)
-    row by row, layer t of phi(s) gathering the rows idx_t of phi(q)."""
+    row by row, through ``_times``."""
     bad = []
     if phi[0] != IntMatrix.identity(n):
         bad.append("phi(0) must be the identity matrix")
     rows = [_rows(m) for m in phi]
     for q, mq in enumerate(rows):
-        for s, layers in acts:
-            if rows[table[q][s]] != _act_rows(layers, mq, n):
+        for s, form in acts:
+            if rows[table[q][s]] != _times(form, mq):
                 bad.append(f"phi is not an anti-homomorphism at ({q},{s})")
     return bad
 
@@ -297,6 +294,7 @@ def _cocycle_failures(coc, table, acts, zero) -> list:
 
     Every vector, given or formed, gets one id, so equal vectors compare
     as equal ids; the sum of two ids is formed once per unordered pair.
+    With n = 0 the one vector is (), id 0, and so is its image.
     """
     ids = {}
     vecs = []
@@ -308,8 +306,8 @@ def _cocycle_failures(coc, table, acts, zero) -> list:
         return k
 
     cid = [[intern(v) for v in row] for row in coc]
-    given = vecs[:]
-    moved = [[intern(_act(layers, v, zero)) for v in given] for _, layers in acts]
+    cols = tuple(zip(*vecs))  # M, whose columns are the given vectors
+    moved = [list(map(intern, zip(*_times(form, cols)))) if zero else [0] for _, form in acts]
     sums = {}
 
     def plus(i, j):
@@ -353,36 +351,41 @@ def _layers(m: IntMatrix) -> tuple:
     return tuple(layers)
 
 
-def _act(layers, v, start) -> tuple:
-    """start + m v, for the matrix m whose gather layers are ``layers``."""
-    for get, co in layers:
-        start = map(add, start, map(mul, co, get(v)))
-    return tuple(start)
+def _sparse(m: IntMatrix) -> tuple:
+    """A square m as (get, co, rest): row i's first nonzero entry is co[i]
+    at column idx[i], read by get = ``_gather(idx)``, rest holds the other
+    nonzero entries as (i, j, c), and a zero row (no invertible m has one)
+    takes (0, 0)."""
+    cols = range(m.cols)
+    idx, co, rest = [], [], []
+    for i, row in enumerate(_rows(m)):
+        j, *more = list(compress(cols, row)) or [0]
+        idx.append(j)
+        co.append(row[j])
+        rest += ((i, k, row[k]) for k in more)
+    return _gather(tuple(idx)), tuple(co), tuple(rest)
 
 
-def _act_rows(layers, rows, n) -> tuple:
-    """The rows of m M, for the n x n matrix m whose gather layers are
-    ``layers`` and the n x n matrix M whose rows are ``rows``.
-
-    Row i is sum_t co_t[i] times row idx_t[i] of M, so each layer is one
-    gather of M's rows; a coefficient 1 keeps the gathered row as it is.
-    """
-    out = ((0,) * n,) * n
-    for t, (get, co) in enumerate(layers):
-        part = [r if c == 1 else tuple(map(c.__mul__, r)) for c, r in zip(co, get(rows))]
-        out = tuple(part) if t == 0 else tuple([tuple(map(add, u, v)) for u, v in zip(out, part)])
-    return out
+def _times(form, rows) -> tuple:
+    """The rows of m M, for m in its ``_sparse`` form and M given by its
+    rows: co[i] times row idx[i] of M, all read in one gather, plus c times
+    row j for each further entry (i, j, c), so one read per entry of m."""
+    get, co, rest = form
+    out = [r if c == 1 else tuple(map(c.__mul__, r)) for c, r in zip(co, get(rows))]
+    for i, j, c in rest:
+        out[i] = tuple(map(add, out[i], map(c.__mul__, rows[j])))
+    return tuple(out)
 
 
 def _gather(idx: tuple) -> itemgetter:
     """An ``itemgetter`` that reads the entries of a tuple at idx into a tuple.
 
     With a single index it reads a one-entry slice, since ``itemgetter(i)``
-    returns the entry itself.
+    returns the entry itself, and with none an empty slice.
     """
-    if len(idx) == 1:
-        return itemgetter(slice(idx[0], idx[0] + 1))
-    return itemgetter(*idx)
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    return itemgetter(slice(idx[0], idx[0] + 1) if idx else slice(0))
 
 
 def abelianization_relations(spec: ExtensionSpec) -> tuple:
@@ -459,8 +462,8 @@ class ExtensionGroup:
         gq, ga = g
         hq, ha = h
         out = map(add, self._coc[gq][hq], ha)
-        # _act's loop, written out, and the result built by tuple.__new__:
-        # mul and inv are the hot path
+        # one vector pass per layer of phi(hq), and the result built by
+        # tuple.__new__: mul and inv are the hot path
         for get, co in self._layers[hq]:
             out = map(add, out, map(mul, co, get(ga)))
         return _tuple_new(ExtElement, (self._table[gq][hq], tuple(out)))

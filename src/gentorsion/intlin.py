@@ -101,6 +101,10 @@ class IntMatrix:
         n = len(entries)
         return cls._of([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)], n)
 
+    def __reduce__(self):
+        # slots without __getstate__ would fail pickle protocols 0 and 1
+        return IntMatrix._of, (self._data, self.cols)
+
     def __getitem__(self, key) -> int:
         i, j = key
         return self._data[i][j]

@@ -21,14 +21,17 @@ representation spec the full checks reject.
 point inverses stored at build; they must give the elements the product
 and inverse formulas give through ``IntMatrix.mat_vec``
 (``brute.formula_mul``/``formula_inv``) on every spec above, on
-promislow^3, on a finite C2 spec with n = 0 and on a p6 group whose rows
-are not signed permutations.  The phi of the named catalog groups are
-one layer each and p6's take two.  The cocycle check applies phi(s)
-through its layers with ``_act``; the anti-homomorphism check gathers
-the rows of phi(q) through them with ``_act_rows``, which must give the
-rows of ``@`` on every pair of phi.  Corrupting p6, freeabext C3 and
-promislow in a dense basis (``brute.conjugated``, up to three layers)
-runs that check with several layers.
+promislow^3, on a finite C2 spec with n = 0, on a p6 group whose rows
+are not signed permutations and on freeabext of rank 6 over C2, whose
+phi(1) has one dense row.  The phi of the named catalog groups are one
+layer each and p6's take two.  Validation applies phi(s) in its sparse
+form (``_sparse``) with ``_times``, to the rows of phi(q) for the
+anti-homomorphism and to the distinct factor-set vectors for the
+cocycle; ``_times`` must give the rows of ``@`` and the columns of
+``mat_vec`` on every pair of phi, reading one row of M per nonzero
+entry of phi(s).  Corrupting p6, freeabext C3, the dense-row freeabext
+and promislow in a dense basis (``brute.conjugated``) runs that check on
+rows with several entries.
 
 A valid spec takes no determinant and finds S once; a zero phi(q), the
 n = 0 spec and the 14 distinct factor-set vectors of freeabext S3 are
@@ -40,6 +43,7 @@ Malformed shapes (the table against q_size, the count and size of phi,
 the factor set's array and vectors, the generators' indices and vectors)
 get the oracle's lines, and as JSON exit 2 from ``validate`` and ``info``.
 A wreath table above ``WREATH_CAP`` is refused before its table check.
+Every extension group the CLI resolves is validated exactly once.
 """
 
 import json
@@ -58,7 +62,7 @@ from gentorsion.catalog import (
     build_wreath,
 )
 from gentorsion import catalog, extgroup, gentor
-from gentorsion.cli import run
+from gentorsion.cli import resolve_group, run
 from gentorsion.errors import GroupInputError
 from gentorsion.extgroup import (
     ExtElement,
@@ -70,9 +74,9 @@ from gentorsion.extgroup import (
     spec_from_dict,
     spec_to_dict,
     validate_extension,
-    _act,
-    _act_rows,
-    _layers,
+    _rows,
+    _sparse,
+    _times,
 )
 from gentorsion import intlin
 from gentorsion.gentor import SplitMix64, random_word_element
@@ -87,8 +91,8 @@ S3 = [[0, 1, 2, 3, 4, 5], [1, 2, 0, 5, 3, 4], [2, 0, 1, 4, 5, 3],
 NON_ASSOC = [[0, 1, 2], [1, 2, 0], [2, 1, 0]]
 
 
-def freeabext(table, images):
-    return build_free_abelianized_extension(FreeAbelExtInput.build(2, table, images))
+def freeabext(table, images, rank=2):
+    return build_free_abelianized_extension(FreeAbelExtInput.build(rank, table, images))
 
 
 SPECS = {
@@ -163,6 +167,8 @@ def dense_spec(spec, seed):
 
 # promislow in a basis where its phi take one to three layers
 DENSE = dense_spec(BUILT["promislow"], 0)
+# n = 11; phi(1) has 21 nonzero entries, 11 of them in one row
+DENSE_ROW = freeabext(C2, [1] * 6, rank=6)
 
 
 def reaches_all(table, gens) -> bool:
@@ -308,6 +314,7 @@ CORRUPTIBLE = {name: BUILT[name] for name in ("dinf", "klein", "promislow", "wre
 CORRUPTIBLE["p6"] = P6
 CORRUPTIBLE["freeabext C3"] = BUILT["freeabext C3"]
 CORRUPTIBLE["promislow dense"] = DENSE
+CORRUPTIBLE["freeabext C2 rank 6"] = DENSE_ROW
 corrupt_settings = settings(derandomize=True, deadline=None, max_examples=150)
 
 
@@ -467,7 +474,8 @@ def test_failing_phi_check_takes_every_determinant(calls):
 
 @pytest.mark.parametrize("name", ["klein", "promislow", "wreath S3", "p6", "promislow dense"])
 def test_zero_phi_matches_full_checks(name):
-    """A zero phi(q) is singular; with q in S it has no layers at all."""
+    """A zero phi(q) is singular; with q in S its sparse form has no entry
+    past the padded first column, and ``_times`` gives zero rows."""
     spec = COUNTED[name]
     for q in range(spec.q_size):
         data = spec_to_dict(spec)
@@ -476,7 +484,9 @@ def test_zero_phi_matches_full_checks(name):
         got, want = validate_extension(broken), brute.validate_extension(broken)
         assert not got.ok
         assert list(got.failures) == checked_lines(broken, want.failures)
-    assert _layers(IntMatrix.zeros(spec.n, spec.n)) == ()
+    get, co, rest = _sparse(IntMatrix.zeros(spec.n, spec.n))
+    assert co == (0,) * spec.n and rest == ()
+    assert _times((get, co, rest), _rows(spec.phi[0])) == ((0,) * spec.n,) * spec.n
 
 
 def test_finite_spec_without_lattice():
@@ -614,6 +624,36 @@ def test_direct_product_equals_spec_built_from_lists(name):
     assert len({id(v) for row in spec.coc for v in row}) == 1
 
 
+# -- one validation per group ---------------------------------------------
+
+
+def test_resolved_groups_are_validated_once(tmp_path, monkeypatch):
+    """``ExtensionGroup`` alone validates: each address the CLI resolves
+    to an extension group, file-built ones included, runs
+    ``validate_extension`` exactly once."""
+    wreath = tmp_path / "wreath.json"
+    wreath.write_text(json.dumps(S3))
+    top = tmp_path / "freeabext.json"
+    top.write_text(json.dumps({"rank": 3, "q_table": S3, "images": [1, 3, 4]}))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(spec_to_dict(BUILT["promislow x klein"])))
+    validate = extgroup.validate_extension
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return validate(spec)
+
+    # a builder that imported the name would call it through its own module
+    for module in (extgroup, catalog):
+        monkeypatch.setattr(module, "validate_extension", counting, raising=False)
+    for address in ("dinf", "klein", "promislow", f"wreath:{wreath}", f"freeabext:{top}",
+                    f"spec:{spec}"):
+        calls.clear()
+        G = resolve_group(address)
+        assert calls == [G.spec], address
+
+
 # -- a lattice basis change keeps every answer -----------------------------
 
 
@@ -667,6 +707,7 @@ ARITHMETIC = {
     "p6": P6,
     "promislow dense": DENSE,
     "finite C2": finite_c2_spec(),
+    "freeabext C2 rank 6": DENSE_ROW,
 }
 GROUPS = {name: ExtensionGroup(spec, name=name) for name, spec in ARITHMETIC.items()}
 word_settings = settings(derandomize=True, deadline=None, max_examples=200)
@@ -682,31 +723,57 @@ def test_layer_count(name):
     """The phi of dinf, klein, promislow, the wreath products and their
     direct products are signed permutations, one layer each.  p6's
     rotations take two, the free abelianized extensions' phi up to three,
-    as do promislow's in the dense basis, and the n = 0 spec's none."""
+    as do promislow's in the dense basis, and the n = 0 spec's none; the
+    rank-6 free abelianized extension over C2 pads to its dense row."""
     widths = {len(layers) for layers in GROUPS[name]._layers}
     dense = {"p6": {1, 2}, "freeabext C3": {1, 3}, "freeabext S3": {1, 3}, "finite C2": {0},
-             "promislow dense": {1, 2, 3}}
+             "promislow dense": {1, 2, 3}, "freeabext C2 rank 6": {1, 11}}
     assert widths == dense.get(name, {1})
 
 
 @pytest.mark.parametrize("name", sorted(ARITHMETIC))
 def test_layered_product_is_matrix_product(name):
-    """The anti-homomorphism check's rows of phi(s) phi(q), gathered from
-    the rows of phi(q) through the layers of phi(s) by ``_act_rows``, are
-    those of ``@`` for every pair, and so are the columns when ``_act``
-    applies phi(s) to each column of phi(q); from a nonzero start,
-    ``_act`` adds the start."""
+    """The anti-homomorphism check's rows of phi(s) phi(q), formed by
+    ``_times`` from the sparse form of phi(s) and the rows of phi(q), are
+    those of ``@`` for every pair; and with M the matrix whose columns
+    are phi(q)'s columns and the all-ones vector, as the cocycle check
+    forms it, the columns of phi(s) M are ``mat_vec``'s images of them."""
     spec = ARITHMETIC[name]
-    zero = (0,) * spec.n
     for a in spec.phi:
-        layers = _layers(a)
+        form = _sparse(a)
         for b in spec.phi:
-            assert _act_rows(layers, tuple(map(tuple, b.to_lists())), spec.n) == \
-                tuple(map(tuple, (a @ b).to_lists()))
-            cols = tuple(zip(*b.to_lists()))
-            assert tuple(_act(layers, c, zero) for c in cols) == tuple(zip(*(a @ b).to_lists()))
-            for c in cols:
-                assert _act(layers, c, c) == tuple(x + y for x, y in zip(c, a.mat_vec(c)))
+            assert _times(form, _rows(b)) == _rows(a @ b)
+            vectors = tuple(zip(*b.to_lists())) + ((1,) * spec.n,)
+            if spec.n:  # with no rows, M has no columns to read back
+                assert tuple(zip(*_times(form, tuple(zip(*vectors))))) == \
+                    tuple(map(a.mat_vec, vectors))
+
+
+class CountingRows:
+    """A sequence of rows that counts the rows read from it."""
+
+    def __init__(self, rows):
+        self.rows, self.read = rows, 0
+
+    def __getitem__(self, key):
+        got = self.rows[key]
+        self.read += len(got) if isinstance(key, slice) else 1
+        return got
+
+    def __len__(self):
+        return len(self.rows)
+
+
+@pytest.mark.parametrize("name", sorted(ARITHMETIC))
+def test_times_reads_a_row_per_nonzero_entry(name):
+    """``_times`` reads M's rows nnz(phi(s)) times: once per entry, not
+    once per padded layer and row."""
+    spec = ARITHMETIC[name]
+    last = _rows(spec.phi[-1])
+    for a in spec.phi:
+        rows = CountingRows(last)
+        assert _times(_sparse(a), rows) == _rows(a @ spec.phi[-1])
+        assert rows.read == sum(x != 0 for row in _rows(a) for x in row)
 
 
 @pytest.mark.parametrize("name", sorted(ARITHMETIC))

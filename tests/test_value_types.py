@@ -1,8 +1,9 @@
 """Value types: immutable records with the public fields, constructors
 and reprs of the API, and namedtuple's behaviour (``_fields``,
-``_replace``, pickling, copying, tuple equality and hashing); class-sensitive
-word nodes; and an import of the package that makes no namedtuple and
-loads none of the heavy standard-library modules."""
+``_replace``, pickling under every protocol, copying, tuple equality and
+hashing); class-sensitive word nodes; and an import of the package that
+makes no namedtuple and loads none of the heavy standard-library
+modules."""
 
 import copy
 import os
@@ -121,7 +122,7 @@ def test_replace(value, fields):
 @pytest.mark.parametrize("value, fields", SAMPLES, ids=IDS)
 def test_pickle_and_copy_round_trips(value, fields):
     copies = [pickle.loads(pickle.dumps(value, protocol))
-              for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+              for protocol in range(0, pickle.HIGHEST_PROTOCOL + 1)]
     copies += [copy.copy(value), copy.deepcopy(value)]
     for other in copies:
         assert other == value and hash(other) == hash(value)
