@@ -110,23 +110,26 @@ def labeled_transversal(G):
     A breadth-first walk from the identity through ``G.generators``, keyed
     on ``coset``: the first product of generators to reach a coset
     represents it, so the words are honest products of named generators.
-    Computed once per group object.  Requires the generators to reach
-    every coset.
+    The walk forms no product once every coset is found.  Computed once
+    per group object.  Requires the generators to reach every coset.
     """
     cached = getattr(G, "_transversal", None)
     if cached is not None:
         return cached
     one = G.identity()
+    index = G.translation_index()
     seen = {G.coset(one)}
     walk = [((), one)]
     for word, e in walk:  # entries appended here are walked too
         for name, gen in G.generators:
+            if len(walk) == index:
+                break
             x = G.mul(e, gen)
             label = G.coset(x)
             if label not in seen:
                 seen.add(label)
                 walk.append((word + (name,), x))
-    if len(walk) != G.translation_index():
+    if len(walk) != index:
         raise GroupInputError("generators do not reach every coset of the lattice")
     G._transversal = tuple((_format_run(word), e) for word, e in walk)
     return G._transversal

@@ -18,19 +18,21 @@ computed here by collecting the relators, not hard-coded.  The relation
 submodule S is the shift closure of the consistency vectors obtained by
 conjugating both power relations by each generator and comparing the two
 ways of evaluating the result.  Where a generator conjugates its own
-power, (x^x)^N = x^N exactly, so that vector needs no collection; the
-two mixed ones are collected mechanically.  All four are then checked to
-be integer multiples of the norm Psi_{p^n}(X) Psi_{p^m}(Y), the all-ones
-vector, with multiples of gcd 1.  Shifts fix the norm, so S = Z norm and
-M = Z^d / Z norm is free of rank d - 1; a group failing the check is a
-theorem violation, as is a relator that collects to the wrong x- or
-y-exponent.  The build collects in the cover, the group where only the
-ring relations hold, with the shared square-and-multiply ``power`` and
-``conjugate``, and forms each consistency vector g + w - U g in one pass.
-The cover is made per call, never kept on the group, so a group holds
-no reference cycle.  The torsion search needs no cover: on each line
-residue (a, b), (x^a y^b)^p is x^{pa} y^{pb} up to a multiple of the
-norm, so ``_make`` folds it straight from g3 and g4.
+power, (x^x)^N = x^N exactly, so that vector needs no collection; each
+mixed one is collected as (x^N)^y, which equals (x^y)^N in every group,
+by one conjugation of x^N (and likewise for y).  All four are then
+checked to be integer multiples of the norm Psi_{p^n}(X) Psi_{p^m}(Y),
+the all-ones vector, with multiples of gcd 1.  Shifts fix the norm, so
+S = Z norm and M = Z^d / Z norm is free of rank d - 1; a group failing
+the check is a theorem violation, as is a relator that collects to the
+wrong x- or y-exponent.  The build collects in the cover, the group
+where only the ring relations hold, with the shared square-and-multiply
+``power`` and ``conjugate``, states each power of a single generator,
+which collects with no correction, and forms each consistency vector
+g + w - U g in one pass.  The cover is made per call, never kept on the
+group, so a group holds no reference cycle.  The torsion search needs no
+cover: on each line residue (a, b), (x^a y^b)^p is x^{pa} y^{pb} up to a
+multiple of the norm, so ``_make`` folds it straight from g3 and g4.
 
 A shift X^a Y^b is one ``itemgetter`` from a table of d getters built
 once per group: one index list per b, rotated right by a * p^m entries
@@ -112,7 +114,8 @@ class MetabGroup:
         # of the relators prod_{j < qm} (x^{qn})^{y^j} = (x^{qn} y^-1)^{qm} y^{qm}
         # and prod_{j < qn} (y^{qm})^{x^j} = (y^{qm} x^-1)^{qn} x^{qn}, which
         # the presentation forces to be trivial: they collect to x^N c^w and
-        # y^N c^w, so x^N = c^{-w} (and y^N likewise)
+        # y^N c^w, so x^N = c^{-w} (and y^N likewise).  A power of one
+        # generator collects with no correction, so y^{qm} and x^{qn} are stated
         z = self._zero
         cover = self._cover()
         tails = []
@@ -120,7 +123,7 @@ class MetabGroup:
                                         ((0, self.qm, z), (1, 0, z), self.qn, (0, self.N))):
             a, b, w = self._raw_mul(
                 power(cover, self._raw_mul(base, self._raw_inv(unit)), steps),
-                power(cover, unit, steps))
+                (steps * unit[0], steps * unit[1], z))
             if (a, b) != want:
                 raise TheoremViolationError(
                     f"a power relator of K({self.qn},{self.qm}) collects to x^{a} y^{b}, "
@@ -272,17 +275,20 @@ class MetabGroup:
         generator u, conjugating the left side letter by letter gives
         (x^u)^N = x^N c^{w}; substituting the relation on both sides forces
         g + w - g * U to die in M.  For u = base, u^u = u, so w = 0 without
-        collecting; the two mixed vectors are collected.
+        collecting.  For the two mixed vectors, (x^u)^N = (x^N)^u in every
+        group, the cover included, and x^N there is (N, 0, 0) with no
+        correction, so each is one conjugation of that stated power.
         """
         vectors = []
         N = self.N
         x, y = (1, 0, self._zero), (0, 1, self._zero)
         for base, g in ((x, self.g3), (y, self.g4)):
+            base_N = (N * base[0], N * base[1], self._zero)
             for u in (x, y):
                 if u is base:
                     w = self._zero
                 else:
-                    a, b, w = power(cover, conjugate(cover, base, u), N)
+                    a, b, w = conjugate(cover, base_N, u)
                     if a % N or b % N:
                         raise TheoremViolationError(
                             f"a conjugated power relation of K({self.qn},{self.qm}) "

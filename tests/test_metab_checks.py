@@ -13,13 +13,17 @@ and the one-pass inverse in the cover with the former body, a product
 by x^-a y^-b negated.
 The build's g3, g4 and consistency vectors are recollected
 letter by letter with the oracle's multiplier on every group with
-N <= 64, and the two vectors the build takes without collecting are
-collected in the cover on five groups.  No K has torsion or a nontrivial centre, so the other
-outcome of each check is reached by injection: power relations x^N or
-y^N set to p-th powers in M, and relation modules whose centre answer the
-oracle's rank test decides.  A relator that collects to a wrong
-exponent is a theorem violation with or without ``-O``: the build raises,
-and no module of the package holds an ``assert``.  Residue powers taken
+N <= 64, and on the same groups all four consistency vectors are
+recollected in the cover as the power of the conjugate, (t^u)^N, where
+the build takes w = 0 or the conjugate of the stated power, (t^N)^u.
+The build makes (3 + P(p^m)) + (3 + P(p^n)) + 6 cover operations, P(k)
+the products of ``power``.  No K has torsion or a nontrivial centre, so
+the other outcome of each check is reached by injection: power relations
+x^N or y^N set to p-th powers in M, and relation modules whose centre
+answer the oracle's rank test decides.  A relator or conjugated power
+relation that collects to a wrong exponent is a theorem violation with
+or without ``-O``: the build raises, and no module of the package holds
+an ``assert``.  Residue powers taken
 in the cover and folded once agree with the group's ``pow`` on every
 group with N <= 64, and on all 44 groups with the fold of x^{pa} y^{pb}
 that the torsion search makes without a product; every shift getter
@@ -144,12 +148,12 @@ def test_build_vectors_agree_with_letter_by_letter_collection(pnm):
     assert (G.g3, G.g4, G._relations) == brute.build_vectors(G)
 
 
-@pytest.mark.parametrize("pnm", [(2, 1, 1), (3, 1, 1), (2, 2, 1), (2, 1, 2), (5, 1, 1)],
-                         ids=group_id)
+@pytest.mark.parametrize("pnm", groups_up_to(64), ids=group_id)
 def test_consistency_vectors_match_full_collection(pnm):
-    """The build takes w = 0 where a generator conjugates its own power;
-    collecting all four (u^-1 t u)^N in the cover, u^u included, with the
-    shared ``power`` and ``conjugate`` gives the same vectors."""
+    """The build takes w = 0 where a generator conjugates its own power
+    and (t^N)^u for the mixed vectors; collecting all four (u^-1 t u)^N in
+    the cover, u^u included, with the shared ``power`` and ``conjugate``
+    gives the same vectors."""
     G = build_K(*pnm)
     z = G._zero
     cover = SimpleNamespace(identity=lambda: (0, 0, z), mul=G._raw_mul, inv=G._raw_inv)
@@ -165,23 +169,55 @@ def test_consistency_vectors_match_full_collection(pnm):
     assert tuple(vectors) == G._relations
 
 
-@pytest.mark.parametrize("call", range(6))
+def cover_products(k: int) -> int:
+    """The products ``power`` makes for k >= 1."""
+    return k.bit_length() - 2 + bin(k).count("1")
+
+
+@pytest.mark.parametrize("pnm", groups_up_to(64), ids=group_id)
+def test_build_makes_the_fewest_cover_operations(monkeypatch, pnm):
+    """Each relator is one inverse, two products and a power of their
+    product, 3 + P(steps), its last factor stated; each mixed consistency
+    vector is one conjugation of a stated power, 3."""
+    ops = []
+
+    def counting(method):
+        def counted(*args):
+            ops.append(method)
+            return method(*args)
+        return counted
+
+    monkeypatch.setattr(MetabGroup, "_raw_mul", counting(MetabGroup._raw_mul))
+    monkeypatch.setattr(MetabGroup, "_raw_inv", counting(MetabGroup._raw_inv))
+    G = build_K(*pnm)
+    want = (3 + cover_products(G.qm)) + (3 + cover_products(G.qn)) + 6
+    assert len(ops) == {(2, 1, 1): 14, (2, 1, 2): 15}.get(pnm, want) == want
+
+
+@pytest.mark.parametrize("call", range(8))
 @pytest.mark.parametrize("pnm", ((2, 1, 1), (3, 1, 1)), ids=group_id)
 def test_build_rejects_a_relator_with_a_wrong_exponent(monkeypatch, pnm, call):
-    """The build powers four times for the two relators and twice for the
-    mixed consistency vectors; an x-exponent off by one in any of these
+    """The build's collection steps are one ``power`` for each relator
+    and one ``conjugate`` for each mixed consistency vector; the x-exponent
+    (call < 4) or the y-exponent (call >= 4) off by one in step call % 4
     is a theorem violation, not an ``assert`` that ``-O`` strips."""
-    calls = []
+    steps = []
 
-    def off_by_one(G, g, k):
-        a, b, w = power(G, g, k)
-        calls.append(k)
-        return (a + 1, b, w) if len(calls) == call + 1 else (a, b, w)
+    def injecting(step):
+        def off_by_one(*args):
+            out = list(step(*args))
+            steps.append(step)
+            if len(steps) == call % 4 + 1:
+                out[call // 4] += 1
+            return tuple(out)
+        return off_by_one
 
-    monkeypatch.setattr(metab, "power", off_by_one)
+    monkeypatch.setattr(metab, "power", injecting(power))
+    monkeypatch.setattr(metab, "conjugate", injecting(conjugate))
     with pytest.raises(TheoremViolationError, match="collects to"):
         build_K(*pnm)
-    assert len(calls) > call
+    assert len(steps) == call % 4 + 1
+    assert steps.count(power) == min(call % 4 + 1, 2)
 
 
 def test_package_has_no_assert_statement():

@@ -7,8 +7,9 @@ makes the advertised number of multiplications.  ``_verify_product``
 agrees with multiplying the conjugates out, also over runs of equal
 conjugators, and Γ's degree-16 check has a pinned cost.  Every lattice backend binds
 the shared ``labeled_transversal`` and ``order_mod_translation``, built
-from ``coset`` alone; they are checked against each backend's own
-quotient formulas.  ``witness_construct`` walks the labeled transversal
+from ``coset`` alone; the walk stops at the product that finds the
+last coset, and both are checked against each backend's own quotient
+formulas.  ``witness_construct`` walks the labeled transversal
 once and skips covered cosets by their ``coset`` labels; its
 certificates must have length [G:A] with one conjugator per coset of A,
 also when G^ab is infinite and g lies outside A.
@@ -47,6 +48,7 @@ from gentorsion.gentor import (
 from gentorsion.metab import MetabGroup, build_K
 from gentorsion.words import eval_word, parse_word
 
+C2 = [[0, 1], [1, 0]]
 C3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
 S3 = [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 4, 0, 5, 1, 3],
       [3, 5, 1, 4, 0, 2], [4, 2, 5, 0, 3, 1], [5, 3, 4, 1, 2, 0]]
@@ -375,6 +377,9 @@ def walk_backends():
     out = lattice_backends()
     out["K:2,1,2"] = build_K(2, 1, 2)
     out["promislow x promislow"] = DirectProductGroup(promislow(), promislow())
+    # phi(1) has one dense row: each product over 1 pads to it
+    out["freeabext C2 rank 6"] = ExtensionGroup(build_free_abelianized_extension(
+        FreeAbelExtInput.build(6, C2, [1] * 6)), name="freeabext C2 rank 6")
     return out
 
 
@@ -382,10 +387,19 @@ WALK = walk_backends()
 
 
 class CountingBackend(MulCounter):
-    """MulCounter that forwards every other attribute to the backend."""
+    """MulCounter that keeps its products and forwards every other
+    attribute to the backend."""
+
+    def __init__(self, G):
+        super().__init__(G)
+        self.products = []
 
     def __getattr__(self, attr):
         return getattr(self.G, attr)
+
+    def mul(self, g, h):
+        self.products.append(super().mul(g, h))
+        return self.products[-1]
 
 
 def order_oracle(G, g):
@@ -413,12 +427,22 @@ def test_coset_walk_covers_each_coset_once(name):
         assert reps == [e for _, e in pairs]
 
 
+# walks whose product count is pinned: one generator reaches the last coset
+WALK_MULS = {"freeabext C2 rank 6": 1}
+
+
 @pytest.mark.parametrize("name", WALK)
 def test_coset_walk_runs_once_per_group(name):
-    counter = CountingBackend(walk_backends()[name])
+    """One walk per group object, and no product after the one that
+    finds the last coset."""
+    G = walk_backends()[name]
+    counter = CountingBackend(G)
     first = labeled_transversal(counter)
     walked = counter.muls
-    assert walked > 0
+    assert walked == WALK_MULS.get(name, walked) > 0
+    labels = [G.coset(G.identity())] + [G.coset(x) for x in counter.products]
+    assert labels[-1] not in labels[:-1]
+    assert len(set(labels)) == G.translation_index()
     assert labeled_transversal(counter) is first
     assert counter.muls == walked
 
