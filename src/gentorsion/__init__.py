@@ -18,8 +18,8 @@ over a quarter of the package's import.  Records are immutable, keep their
 positional constructors, field names and reprs, and compare and hash as
 tuples of their fields.  Word nodes compare with their class as well, so
 ``Conj(a, b) != Comm(a, b)``.  Nothing here imports ``typing`` or
-``importlib.resources``; data files are read through the catalog
-module's own loader.
+``importlib.resources``, and the package has no data files: the catalog
+specs are literals in ``catalog``.
 """
 
 from .catalog import (

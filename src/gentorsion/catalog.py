@@ -1,11 +1,12 @@
 """Constructors for the example groups.
 
-Three crystallographic specs ship as JSON data files (infinite dihedral,
-Klein bottle, Promislow), the K(p^n, p^m) family delegates to the
-collection backend, wreath products Z wr Q and free abelianized extensions
-F/[R,R] are built from a finite multiplication table, and the group-ring
-backend Gamma = (ZP) x| (P x P) supports sampled identity checking on a
-group that is not abelian-by-finite.
+Three crystallographic specs (infinite dihedral, Klein bottle, Promislow)
+are dict literals in the spec schema, read by ``spec_from_dict`` as a
+``spec:`` file is.  The K(p^n, p^m) family delegates to the collection
+backend, wreath products Z wr Q and free abelianized extensions F/[R,R]
+are built from a finite multiplication table, and the group-ring backend
+Gamma = (ZP) x| (P x P) supports sampled identity checking on a group
+that is not abelian-by-finite.
 
 F/[R,R] is read off the Cayley graph of Q, whose cycle group is R/[R,R]:
 phi, the cocycle and the generators are sums of translated spanning-tree
@@ -13,9 +14,6 @@ paths, and no word in the free generators is built or rewritten.
 """
 
 from __future__ import annotations
-
-import json
-import os
 
 from ._record import Record, _tuple_new
 from .errors import GroupInputError, TheoremViolationError
@@ -31,26 +29,70 @@ from .intlin import IntMatrix, _as_int
 from .metab import MetabGroup, build_K
 
 
-def _load_spec(filename: str) -> ExtensionSpec:
-    # The module's own loader reads package data from plain, editable and
-    # zipped installs alike, without importing importlib.resources.
-    path = os.path.join(os.path.dirname(__file__), "data", filename)
-    return spec_from_dict(json.loads(__spec__.loader.get_data(path)))
-
-
 def build_dihedral_infinite() -> ExtensionSpec:
     """D_inf = <a, b | b^2 = 1, a^b = a^-1> as Z by C2."""
-    return _load_spec("dinf.json")
+    return spec_from_dict({
+        "q_size": 2,
+        "q_table": [[0, 1], [1, 0]],
+        "n": 1,
+        "phi": [[[1]], [[-1]]],
+        "coc": [[[0], [0]], [[0], [0]]],
+        "generators": {
+            "a": {"q": 0, "a": [1]},
+            "b": {"q": 1, "a": [0]},
+        },
+    })
 
 
 def build_klein_bottle() -> ExtensionSpec:
     """Klein bottle group <x, y | x^y = x^-1> as Z^2 by C2."""
-    return _load_spec("klein.json")
+    return spec_from_dict({
+        "q_size": 2,
+        "q_table": [[0, 1], [1, 0]],
+        "n": 2,
+        "phi": [
+            [[1, 0], [0, 1]],
+            [[-1, 0], [0, 1]],
+        ],
+        "coc": [
+            [[0, 0], [0, 0]],
+            [[0, 0], [0, 1]],
+        ],
+        "generators": {
+            "x": {"q": 0, "a": [1, 0]},
+            "y": {"q": 1, "a": [0, 0]},
+        },
+    })
 
 
 def build_promislow() -> ExtensionSpec:
     """The Promislow group: Z^3 by C2 x C2, torsion-free, G^ab = C4 x C4."""
-    return _load_spec("promislow.json")
+    return spec_from_dict({
+        "q_size": 4,
+        "q_table": [
+            [0, 1, 2, 3],
+            [1, 0, 3, 2],
+            [2, 3, 0, 1],
+            [3, 2, 1, 0],
+        ],
+        "n": 3,
+        "phi": [
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+            [[1, 0, 0], [0, -1, 0], [0, 0, -1]],
+            [[-1, 0, 0], [0, 1, 0], [0, 0, -1]],
+            [[-1, 0, 0], [0, -1, 0], [0, 0, 1]],
+        ],
+        "coc": [
+            [[0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]],
+            [[0, 0, 0], [1, 0, 0], [-1, 1, 1], [0, -1, -1]],
+            [[0, 0, 0], [0, 0, 0], [0, 1, 0], [0, -1, 0]],
+            [[0, 0, 0], [1, 0, 0], [-1, 0, 1], [0, 0, -1]],
+        ],
+        "generators": {
+            "x": {"q": 1, "a": [0, 0, 0]},
+            "y": {"q": 2, "a": [0, 0, 0]},
+        },
+    })
 
 
 def build_K_group(p: int, n: int, m: int) -> MetabGroup:

@@ -17,11 +17,10 @@ is echoed so runs can be reproduced.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import catalog, gentor
 from .errors import BackendCapabilityError, GroupInputError, TheoremViolationError
@@ -93,12 +92,22 @@ def _shape_errors(path: str, expected: str):
 
 
 def _load_json(path: str):
+    # json is imported where JSON is read or written, not at the top: most
+    # commands need neither, and start-up is most of what they cost
+    import json
+
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise GroupInputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    # json.loads finds the UTF encoding of bytes itself (RFC 8259), so the
+    # locale plays no part; a bad encoding, a nesting too deep to recurse
+    # into and an integer over the int-string limit are all ValueError or
+    # RecursionError
+    try:
+        return json.loads(data)
+    except (ValueError, RecursionError) as exc:
         raise GroupInputError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -197,6 +206,8 @@ def _cmd_witness(args) -> int:
         "base": _element_json(cert.base),
         "conjugators": [_element_json(c) for c in cert.conjugators],
     }
+    import json
+
     print(json.dumps(payload, indent=2))
     return 0
 
@@ -247,62 +258,216 @@ def _cmd_validate(args) -> int:
     return 2
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gentorsion",
-        description="Generalized torsion in abelian-by-finite groups: "
-        "decision, certificates, exponent bounds, positive identities.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_GROUP = ("group", "group address, as listed by `gentorsion catalog list`", None)
+_WORD = ("word", "element as a word over the group's generators, e.g. 'x^2*y'", None)
 
-    p = sub.add_parser("catalog", help="list addressable groups")
-    p.add_argument("action", choices=["list"])
-    p.set_defaults(fn=_cmd_catalog)
+# The command table.  Each subcommand has its handler, its help line, its
+# positionals and its options.  A positional is (name, help, the values it
+# allows or None).  An option is (flag, int or bool, help): int takes one
+# integer value, bool is a flag; its field is the flag's name with "-" as
+# "_", None (int) or False (bool) when not given.  Every subcommand also
+# takes -h/--help.  ``_parse`` and the help text read only this table.
+COMMANDS = {
+    "catalog": (_cmd_catalog, "list addressable groups",
+                (("action", "'list' prints every group address", ("list",)),), ()),
+    "info": (_cmd_info, "abelianization, index, torsion, center, bounds", (_GROUP,), ()),
+    "decide": (_cmd_decide, "is the element generalized torsion", (_GROUP, _WORD), ()),
+    "witness": (_cmd_witness, "certificate: product of conjugates equal to 1", (_GROUP, _WORD), (
+        ("--search", bool, "bounded minimal-order search"),
+        ("--max-k", int, "with --search (default 8)"),
+        ("--radius", int, "with --search (default 3)"),
+    )),
+    "exponent": (_cmd_exponent, "generalized exponent bounds", (_GROUP,), ()),
+    "identity": (_cmd_identity, "build and verify the positive identity", (_GROUP,), (
+        ("--universal", bool, "verify over every element (the default where the group can)"),
+        ("--samples", int, "verify on this many sampled elements (default 200)"),
+        ("--seed", int, f"seed of a sampled run (default GENTOR_SEED, then {DEFAULT_SEED})"),
+    )),
+    "validate": (_cmd_validate, "validate an extension spec file",
+                 (("spec", "extension spec JSON file", None),), ()),
+}
 
-    p = sub.add_parser("info", help="abelianization, index, torsion, center, bounds")
-    p.add_argument("group")
-    p.set_defaults(fn=_cmd_info)
+DESCRIPTION = ("Generalized torsion in abelian-by-finite groups: "
+               "decision, certificates, exponent bounds, positive identities.")
+HELP_OPTION = ("-h, --help", "show this help message and exit")
 
-    p = sub.add_parser("decide", help="is the element generalized torsion")
-    p.add_argument("group")
-    p.add_argument("word")
-    p.set_defaults(fn=_cmd_decide)
 
-    p = sub.add_parser("witness", help="certificate: product of conjugates equal to 1")
-    p.add_argument("group")
-    p.add_argument("word")
-    p.add_argument("--search", action="store_true", help="bounded minimal-order search")
-    p.add_argument("--max-k", type=int, default=None, dest="max_k", help="with --search (default 8)")
-    p.add_argument("--radius", type=int, default=None, help="with --search (default 3)")
-    p.set_defaults(fn=_cmd_witness)
+class _Exit(Exception):
+    """Parsing ends the run: code 0 with help text for stdout, or code 2
+    with the usage line and the reason for stderr."""
 
-    p = sub.add_parser("exponent", help="generalized exponent bounds")
-    p.add_argument("group")
-    p.set_defaults(fn=_cmd_exponent)
+    def __init__(self, code: int, text: str):
+        super().__init__(text)
+        self.code = code
+        self.text = text
 
-    p = sub.add_parser("identity", help="build and verify the positive identity")
-    p.add_argument("group")
-    p.add_argument("--universal", action="store_true")
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(fn=_cmd_identity)
 
-    p = sub.add_parser("validate", help="validate an extension spec file")
-    p.add_argument("spec")
-    p.set_defaults(fn=_cmd_validate)
+def _field(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
-    return parser
+
+def _metavar(flag: str, kind) -> str:
+    return flag if kind is bool else f"{flag} {_field(flag).upper()}"
+
+
+def _usage(name=None) -> str:
+    if name is None:
+        return "usage: gentorsion [-h] {" + ",".join(COMMANDS) + "} ..."
+    _, _, positionals, options = COMMANDS[name]
+    words = ["usage: gentorsion", name, "[-h]"]
+    words += [f"[{_metavar(flag, kind)}]" for flag, kind, _ in options]
+    words += ["{" + ",".join(allowed) + "}" if allowed else arg for arg, _, allowed in positionals]
+    return " ".join(words)
+
+
+def _help(name=None) -> str:
+    if name is None:
+        about = DESCRIPTION
+        sections = [("commands", [(cmd, entry[1]) for cmd, entry in COMMANDS.items()]),
+                    ("options", [HELP_OPTION])]
+    else:
+        _, about, positionals, options = COMMANDS[name]
+        sections = [("positional arguments", [(arg, text) for arg, text, _ in positionals]),
+                    ("options", [HELP_OPTION] + [(_metavar(flag, kind), text)
+                                                 for flag, kind, text in options])]
+    width = max(len(label) for _, rows in sections for label, _ in rows) + 2
+    lines = [_usage(name), "", about]
+    for title, rows in sections:
+        lines += ["", f"{title}:"] + [f"  {label:{width}}{text}" for label, text in rows]
+    return "\n".join(lines)
+
+
+def _usage_error(name, reason: str) -> _Exit:
+    prog = "gentorsion" if name is None else f"gentorsion {name}"
+    return _Exit(2, f"{_usage(name)}\n{prog}: error: {reason}")
+
+
+def _is_negative_number(token: str) -> bool:
+    # argparse's ^-\d+$|^-\d*\.\d+$, whose $ also matches before a final newline
+    body = token[1:-1] if token.endswith("\n") else token[1:]
+    whole, dot, frac = body.partition(".")
+    if not dot:
+        return whole.isdecimal()
+    return (not whole or whole.isdecimal()) and frac.isdecimal()
+
+
+def _option(name, token: str, flags):
+    """Read ``token``, which comes before any ``--``, as argparse did for a
+    parser with the long options ``flags`` and the short option -h: None
+    for a positional or an option's value, else (flag, the value given
+    after "=" or None), flag None for an unknown option.  A long option may
+    be abbreviated to any prefix that names one flag."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token[:2] == "--":
+        head, eq, value = token.partition("=")
+        found = [head] if head in flags else [flag for flag in flags if flag.startswith(head)]
+        if len(found) > 1:
+            raise _usage_error(name, f"ambiguous option: {token} could match {', '.join(found)}")
+        if found:
+            return found[0], value if eq else None
+    elif token[:2] == "-h":
+        return "--help", token[2:] or None
+    if _is_negative_number(token) or " " in token:
+        return None
+    return None, None
+
+
+def _parse_command(name: str, argv: list) -> SimpleNamespace:
+    """The fields of subcommand ``name`` from the arguments after it."""
+    _, _, positionals, options = COMMANDS[name]
+    kinds = {"--help": bool, **{flag: kind for flag, kind, _ in options}}
+    # "--" ends the options; argparse read every token before it first,
+    # so an ambiguous abbreviation fails even after --help
+    end = argv.index("--") if "--" in argv else len(argv)
+    read = [_option(name, token, kinds) for token in argv[:end]]
+    read += ["--"] + [None] * (len(argv) - end - 1)
+    fields = {arg: None for arg, _, _ in positionals}
+    fields.update((_field(flag), None if kind is int else False) for flag, kind, _ in options)
+    given, unknown = 0, []
+    i = 0
+    while i < len(argv):
+        token, option = argv[i], read[i]
+        i += 1
+        if option == "--":
+            continue
+        if option is None:
+            if given == len(positionals):
+                unknown.append(token)
+                continue
+            arg, _, allowed = positionals[given]
+            if allowed and token not in allowed:
+                choices = ", ".join(map(repr, allowed))
+                raise _usage_error(name, f"argument {arg}: invalid choice: {token!r} "
+                                         f"(choose from {choices})")
+            fields[arg] = token
+            given += 1
+            continue
+        flag, value = option
+        if flag is None:
+            unknown.append(token)
+        elif kinds[flag] is bool:
+            if value is not None:
+                raise _usage_error(name, f"argument {flag}: ignored explicit argument {value!r}")
+            if flag == "--help":
+                raise _Exit(0, _help(name))
+            fields[_field(flag)] = True
+        else:
+            if value is None:
+                if i == len(argv) or read[i] is not None:
+                    raise _usage_error(name, f"argument {flag}: expected one argument")
+                value = argv[i]
+                i += 1
+            try:
+                fields[_field(flag)] = int(value)
+            except ValueError:
+                raise _usage_error(name, f"argument {flag}: invalid int value: {value!r}") from None
+    if given < len(positionals):
+        missing = ", ".join(arg for arg, _, _ in positionals[given:])
+        raise _usage_error(name, f"the following arguments are required: {missing}")
+    if unknown:
+        raise _usage_error(name, f"unrecognized arguments: {' '.join(unknown)}")
+    return SimpleNamespace(**fields)
+
+
+def _parse(argv):
+    """The command name and its fields for ``argv``, read as the former
+    argparse parser read it; raises ``_Exit`` for help or a usage error."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    unknown = []
+    i = 0
+    while i < len(argv) and argv[i] != "--":
+        option = _option(None, argv[i], ("--help",))
+        if option is None:
+            break
+        flag, value = option
+        if flag is None:
+            unknown.append(argv[i])
+        elif value is not None:
+            raise _usage_error(None, f"argument -h/--help: ignored explicit argument {value!r}")
+        else:
+            raise _Exit(0, _help())
+        i += 1
+    if i == len(argv):
+        raise _usage_error(None, "the following arguments are required: command")
+    name = argv[i]
+    if name not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        raise _usage_error(None, f"argument command: invalid choice: {name!r} (choose from {choices})")
+    args = _parse_command(name, argv[i + 1:])
+    if unknown:
+        raise _usage_error(None, f"unrecognized arguments: {' '.join(unknown)}")
+    return name, args
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 0
-        return 2 if code else 0
+        name, args = _parse(argv)
+    except _Exit as stop:
+        print(stop.text, file=sys.stderr if stop.code else sys.stdout)
+        return stop.code
     try:
-        return args.fn(args)
+        return COMMANDS[name][0](args)
     except (GroupInputError, BackendCapabilityError, WordSyntaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,15 +1,20 @@
 """Command-line interface, driven in-process through run()."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
 from gentorsion import catalog
-from gentorsion.cli import DEFAULT_SEED, resolve_group, run
+from gentorsion.cli import COMMANDS, DEFAULT_SEED, resolve_group, run
 from gentorsion.extgroup import ExtElement, spec_to_dict
 from gentorsion.catalog import build_dihedral_infinite, build_promislow
 from gentorsion.words import eval_word, parse_word
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def invoke(capsys, *argv):
@@ -471,6 +476,44 @@ def test_input_errors(tmp_path, capsys):
     assert code == 2 and "not valid JSON" in err
 
 
+# each file makes json.loads raise something other than JSONDecodeError
+UNREADABLE_JSON = {
+    "not-utf8": b'[[0, 1], [1, 0]] \xff',
+    "nested-100000": b"[" * 100_000 + b"]" * 100_000,
+    "int-5000-digits": b"[" + b"7" * 5000 + b"]",
+}
+
+
+@pytest.mark.parametrize("entry", ["validate", "spec:", "wreath:", "freeabext:"])
+@pytest.mark.parametrize("name", list(UNREADABLE_JSON))
+def test_unreadable_json_is_an_input_error(tmp_path, capsys, name, entry):
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(UNREADABLE_JSON[name])
+    argv = ["validate", str(path)] if entry == "validate" else ["info", f"{entry}{path}"]
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path} is not valid JSON: ")
+
+
+def test_json_files_are_read_whatever_the_locale(tmp_path):
+    """A UTF-8 spec with non-ASCII text validates under an ASCII locale:
+    the file is decoded as JSON says, not by the locale's encoding."""
+    data = spec_to_dict(build_dihedral_infinite())
+    data["note"] = "Z \u22ca C2"
+    path = tmp_path / "dinf.json"
+    path.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+    env = {"PATH": os.environ.get("PATH", ""), "PYTHONPATH": SRC, "LC_ALL": "C",
+           "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    probe = subprocess.run(
+        [sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"],
+        env=env, capture_output=True, text=True, check=True)
+    if probe.stdout.strip() not in ("ANSI_X3.4-1968", "ascii", "US-ASCII"):
+        pytest.skip(f"the C locale here reads files as {probe.stdout.strip()}, not ASCII")
+    proc = subprocess.run([sys.executable, "-m", "gentorsion.cli", "validate", str(path)],
+                          env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "valid=true\n", "")
+
+
 @pytest.mark.parametrize("argv", [
     ("info", "K:2,20000,1"),
     ("info", "K:3,9000,1"),
@@ -597,14 +640,73 @@ def test_finite_group_without_lattice(tmp_path, capsys):
     assert {"mode=universal", "verified=true"} <= set(out.splitlines())
 
 
+USAGE_ERRORS = [
+    (),
+    ("nosuch",),
+    ("--bogus", "catalog", "list"),
+    ("--help=1",),
+    ("catalog", "foo"),
+    ("decide",),
+    ("decide", "promislow"),
+    ("info",),
+    ("info", "promislow", "extra"),
+    ("info", "promislow", "--search"),
+    ("identity", "K:2,1,1", "--samples"),
+    ("identity", "K:2,1,1", "--samples", "--seed", "3"),
+    ("identity", "K:2,1,1", "--samples", "x"),
+    ("identity", "K:2,1,1", "--seed=1.5"),
+    ("identity", "K:2,1,1", "--s", "3"),
+    ("witness", "promislow", "x", "--search=1"),
+    ("witness", "promislow", "x", "-x"),
+]
+
+
 def test_usage_errors(capsys):
-    assert run([]) == 2
-    capsys.readouterr()
-    assert run(["decide"]) == 2
-    capsys.readouterr()
-    with_help = run(["--help"])
-    capsys.readouterr()
-    assert with_help == 0
+    """Each usage error exits 2 with nothing on stdout, and a usage line
+    and the reason on stderr."""
+    for argv in USAGE_ERRORS:
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == "", argv
+        usage, reason = err.splitlines()
+        assert usage.startswith("usage: gentorsion"), argv
+        assert reason.startswith("gentorsion") and ": error: " in reason, argv
+
+
+def _help_rows(out):
+    """The (label, help line) rows of a help text's sections."""
+    return [tuple(line.strip().split("  ", 1)) for line in out.splitlines()
+            if line.startswith("  ")]
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("-h",), ("--he",), ("--bogus", "-h")], ids=repr)
+def test_help_names_every_command(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.startswith("usage: gentorsion [-h] {" + ",".join(COMMANDS) + "} ...\n")
+    rows = {label: text.strip() for label, text in _help_rows(out)}
+    for name, (_, help_line, _, _) in COMMANDS.items():
+        assert rows[name] == help_line
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_command_help_names_every_argument(capsys, name, where):
+    _, help_line, positionals, options = COMMANDS[name]
+    given = ["list" if name == "catalog" else "promislow"] * len(positionals)
+    argv = [name, "--help", *given] if where == "first" else [name, *given, "-h"]
+    code, out, err = invoke(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.startswith(f"usage: gentorsion {name} [-h]")
+    assert help_line in out.splitlines()
+    rows = {label: text.strip() for label, text in _help_rows(out)}
+    for arg, text, allowed in positionals:
+        assert rows[arg] == text
+        assert ("{" + ",".join(allowed) + "}" if allowed else f" {arg}") in out.splitlines()[0]
+    for flag, kind, text in options:
+        label = flag if kind is bool else f"{flag} {flag[2:].replace('-', '_').upper()}"
+        assert rows[label] == text
+        assert f"[{label}]" in out.splitlines()[0]
+    assert len(rows) == 1 + len(positionals) + len(options)
 
 
 def test_theorem_violation_exit_code(capsys, monkeypatch):

@@ -194,17 +194,39 @@ def test_parse_inverts_print(tree):
 
 # -- import graph --------------------------------------------------------------
 
-HEAVY = ("dataclasses", "typing", "inspect", "importlib.resources")
+HEAVY = ("dataclasses", "typing", "inspect", "importlib.resources", "argparse", "gettext", "locale")
+
+
+def _loaded_after(argvs, watched):
+    """The modules of ``watched`` loaded, without site packages, once
+    ``gentorsion.cli`` is imported and ``run`` has taken each argv."""
+    code = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {SRC!r})",
+        "from gentorsion.cli import run",
+        f"codes = [run(argv) for argv in {argvs!r}]",
+        "print('exit codes:', *codes)",
+        f"print('loaded:', *(m for m in {watched!r} if m in sys.modules))",
+    ])
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                         text=True, check=True)
+    *_, codes, loaded = out.stdout.splitlines()
+    assert codes.split()[2:] == ["0"] * len(argvs)
+    return loaded.split()[1:]
 
 
 def test_cli_import_loads_no_heavy_module():
     """Without site packages, importing the CLI loads none of the modules
     whose import dominated a CLI run's start."""
-    code = (f"import sys; sys.path.insert(0, {SRC!r}); import gentorsion.cli; "
-            f"print(' '.join(m for m in {HEAVY!r} if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.split() == []
+    assert _loaded_after([], HEAVY) == []
+
+
+def test_cli_commands_load_json_only_to_read_or_write_it():
+    """Commands that read no file and print no certificate load neither
+    a heavy module nor ``json``; ``witness`` prints JSON and loads it."""
+    quiet = [["catalog", "list"], ["info", "promislow"], ["decide", "K:3,1,1", "x"]]
+    assert _loaded_after(quiet, HEAVY + ("json",)) == []
+    assert _loaded_after([["witness", "promislow", "x"]], HEAVY + ("json",)) == ["json"]
 
 
 def test_import_makes_no_namedtuple_call():
