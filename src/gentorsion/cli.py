@@ -8,7 +8,12 @@ given as words over the group's named generators, e.g. ``x^2*y`` or
 
 Exit codes: 0 on success (including boolean answers), 2 on invalid input
 or spec, 3 when an internal invariant is violated (a result that would
-contradict the underlying theory, always a bug).
+contradict the underlying theory, always a bug), 120 when the reader of
+stdout has gone (a broken pipe), without a traceback.
+
+``main``, the console-script entry point, ends the process by ``os._exit``
+once both standard streams are flushed, skipping interpreter finalization;
+``run`` is the same command in process, returning its exit code.
 
 Randomized commands take ``--seed``; without it the ``GENTOR_SEED``
 environment variable applies, then a fixed default.  The effective seed
@@ -477,7 +482,32 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """Run the command in ``sys.argv`` and end the process with its exit code.
+
+    Once both standard streams are flushed, the process ends by
+    ``os._exit``.  Interpreter finalization (module teardown, the final
+    garbage collection, atexit handlers) would take longer than importing
+    the package, after the answer is out.  Skipping it loses nothing: the
+    package registers no atexit handler, starts no thread and closes every
+    file it opens by ``with``.  An exception other than ``BrokenPipeError``
+    escaping ``run`` takes the normal path: traceback, exit 1.  When the
+    reader of stdout has gone, whether a print or the final flush meets the
+    broken pipe, the run exits 120, the status the interpreter gives when
+    its own final flush fails, and prints no traceback.
+    """
+    try:
+        code = run()
+        for stream in (sys.stdout, sys.stderr):
+            # a stream closed at start (e.g. under >&-) is None
+            if stream is not None:
+                stream.flush()
+    except BrokenPipeError:
+        # As the SIGPIPE note of the signal docs advises, point fd 1 at
+        # devnull so that no later flush retries the pipe
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        code = 120
+    os._exit(code)
 
 
 if __name__ == "__main__":

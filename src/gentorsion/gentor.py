@@ -44,6 +44,7 @@ BackendCapabilityError.
 
 from __future__ import annotations
 
+import sys
 from itertools import groupby, islice
 from math import lcm, prod
 
@@ -383,6 +384,9 @@ def verify_identity_sampled(G, k: int, conjugators, samples: int, seed: int) -> 
     """Evaluate the identity on seeded pseudorandom elements."""
     if samples < 1:
         raise GroupInputError(f"samples must be >= 1, got {samples}")
+    if samples > sys.maxsize:
+        # islice takes no stop beyond sys.maxsize
+        raise GroupInputError(f"samples must be <= {sys.maxsize}, got {samples}")
     rng = SplitMix64(seed)
     bases = (G.pow(g, k) for g in islice(_random_words(G, rng), samples))
     return _verify_product(G, bases, conjugators)

@@ -1,4 +1,5 @@
-"""Command-line interface, driven in-process through run()."""
+"""Command-line interface, driven in process through run(), and as a
+process where the exit path matters."""
 
 import json
 import os
@@ -257,6 +258,14 @@ def test_identity_rejects_nonpositive_samples(capsys, samples):
     assert code == 2
     assert out == ""
     assert "samples must be >= 1" in err
+
+
+@pytest.mark.parametrize("samples", [str(sys.maxsize + 1), "99999999999999999999"])
+def test_identity_rejects_samples_beyond_maxsize(capsys, samples):
+    code, out, err = invoke(capsys, "identity", "K:2,1,1", "--samples", samples)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: samples must be <= {sys.maxsize}, got {samples}\n"
 
 
 def test_identity_spec_without_full_generators(tmp_path, capsys):
@@ -714,3 +723,94 @@ def test_theorem_violation_exit_code(capsys, monkeypatch):
     code, out, err = invoke(capsys, "identity", "promislow")
     assert code == 3
     assert "internal invariant violation:" in err
+
+
+# One run of each subcommand, help, a usage error, an input error and a
+# spec that fails validation; "{good}" and "{bad}" name spec files.
+PROCESS_RUNS = [
+    ("catalog", "list"),
+    ("info", "promislow"),
+    ("decide", "K:3,1,1", "x*y^-1"),
+    ("witness", "promislow", "x"),
+    ("exponent", "K:2,1,1"),
+    ("identity", "promislow"),
+    ("validate", "{good}"),
+    ("--help",),
+    ("info", "promislow", "extra"),
+    ("info", "nosuch"),
+    ("validate", "{bad}"),
+]
+
+
+@pytest.fixture
+def spec_files(tmp_path):
+    data = spec_to_dict(build_promislow())
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(data))
+    data["coc"][1][2][0] += 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    return {"good": str(good), "bad": str(bad)}
+
+
+def _cli_process(*argv, env=(), **kwargs):
+    """``python -m gentorsion.cli *argv`` over the source tree, its
+    streams buffered as by default unless ``env`` says otherwise."""
+    return subprocess.run([sys.executable, "-m", "gentorsion.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": SRC, "PYTHONUNBUFFERED": "", **dict(env)},
+                          timeout=60, **kwargs)
+
+
+@pytest.mark.parametrize("argv", PROCESS_RUNS, ids=" ".join)
+def test_process_matches_run(capsys, spec_files, argv):
+    """The command as a process prints and exits as ``run`` does in
+    process: ``main`` flushes both streams before its hard exit."""
+    argv = [arg.format(**spec_files) for arg in argv]
+    expected = invoke(capsys, *argv)
+    proc = _cli_process(*argv, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+
+def test_closed_stdout_exits_cleanly():
+    # with fd 1 closed at start sys.stdout is None, which main must not flush
+    proc = _cli_process("info", "promislow", preexec_fn=lambda: os.close(1),
+                        stderr=subprocess.PIPE, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_broken_pipe_exits_quietly(unbuffered):
+    """A reader that has gone ends the run with exit 120 and nothing on
+    stderr, whether the print itself or the final flush meets the pipe."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _cli_process("catalog", "list", env={"PYTHONUNBUFFERED": unbuffered},
+                            stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (120, "")
+
+
+ATEXIT_PROBE = """
+import atexit, contextlib, io, json, sys, threading
+before = atexit._ncallbacks()
+from gentorsion.cli import run
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [run(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, atexit._ncallbacks() - before, threading.active_count()]))
+"""
+
+
+def test_commands_leave_nothing_for_finalization(spec_files):
+    """``main`` exits without finalization, which would run atexit handlers
+    and wait for other threads: the import and every subcommand register
+    no handler and start no thread."""
+    runs = [[arg.format(**spec_files) for arg in argv] for argv in PROCESS_RUNS]
+    runs.append(["witness", "promislow", "x", "--search"])
+    proc = subprocess.run([sys.executable, "-c", ATEXIT_PROBE, json.dumps(runs)],
+                          env={**os.environ, "PYTHONPATH": SRC}, capture_output=True,
+                          text=True, timeout=60, check=True)
+    codes, registered, threads = json.loads(proc.stdout)
+    assert codes == [0] * 8 + [2] * 3 + [0]
+    assert (registered, threads) == (0, 1)

@@ -89,11 +89,13 @@ def _clirun_argvs():
 
 def _workflow_argvs():
     """The arguments of every ``gentorsion`` command in the CI workflow,
-    each shell variable written FILE."""
+    each shell variable written FILE and redirections (``>&-``,
+    ``2>FILE``) left out."""
     text = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
     commands = re.findall(r"(?:^\s*|\$\(|timeout \d+ |-m )gentorsion(?:\.cli)? ([^|)\n]*)",
                           text, re.MULTILINE)
-    return [shlex.split(re.sub(r"\$\w+", "FILE", command)) for command in commands]
+    return [[token for token in shlex.split(re.sub(r"\$\w+", "FILE", command))
+             if not re.match(r"\d*[<>]", token)] for command in commands]
 
 
 def _spellings(flag, value):

@@ -1,5 +1,7 @@
 """Decision procedures, certificates, bounds, and the bounded search."""
 
+import sys
+
 import pytest
 
 from gentorsion.catalog import (
@@ -311,6 +313,14 @@ def test_sampled_matches_universal(promislow):
     for seed in range(5):
         assert verify_identity_sampled(promislow, k, conj, samples=40, seed=seed)
     assert not verify_identity_sampled(promislow, 1, conj[:2], samples=40, seed=0)
+
+
+@pytest.mark.parametrize("samples", [0, sys.maxsize + 1])
+def test_sampled_rejects_samples_out_of_range(promislow, samples):
+    # islice, which draws the samples, takes no stop beyond sys.maxsize
+    k, conj = positive_identity_witnesses(promislow)
+    with pytest.raises(GroupInputError, match="samples must be"):
+        verify_identity_sampled(promislow, k, conj, samples=samples, seed=0)
 
 
 def test_sampled_on_metab_backend():
